@@ -117,6 +117,59 @@ def test_engine_from_yaml(ray_session, tmp_path):
     assert manifest["sinks"] == {"bad-unknown": 2}
 
 
+def _routed(out_dir, cols):
+    from sagan_ray.stages.route import read_sink
+
+    t = read_sink(str(out_dir / "sinks"))
+    return sorted(t.select(cols).to_pylist(), key=lambda r: r["url"])
+
+
+def test_engine_enrichment_placement(ray_session, tmp_path):
+    """EngineConfig.run enriches BEFORE matching when a rule gates on an
+    enrichment column (the country gate needs `country` to exist), and
+    over the gated alert stream otherwise (the columns still arrive on
+    every routed row)."""
+    import ray.data as rd
+
+    hosts = ["a.com", "b.com", "a.com", "c.com"]
+    texts = ["evil one", "evil needle", "evil two", "evil three"]
+    lookups = dict(geo={"a.com": "US", "b.com": "DE", "c.com": "FR"},
+                   blacklist={"b.com"}, intel=["needle"])
+
+    geo_rules = tmp_path / "geo.rules"
+    geo_rules.write_text(
+        'alert any any any -> any any (msg:"m"; sid:1; content:"evil"; '
+        "country_code: track by_host, is [US]; classtype:bad-unknown;)\n"
+    )
+    cfg = EngineConfig(rules_files=[str(geo_rules)], enrich=True, **lookups)
+    manifest = cfg.run(rd.from_arrow(batch(texts, hosts=hosts)),
+                       str(tmp_path / "pre"))
+    assert manifest["total"] == 2
+    assert _routed(tmp_path / "pre", ["url", "country"]) == [
+        {"url": "https://a.com/p/0", "country": "US"},
+        {"url": "https://a.com/p/2", "country": "US"},
+    ]
+
+    plain_rules = tmp_path / "plain.rules"
+    plain_rules.write_text(
+        'alert any any any -> any any (msg:"m"; sid:2; content:"evil"; '
+        "classtype:bad-unknown;)\n"
+    )
+    cfg = EngineConfig(rules_files=[str(plain_rules)], enrich=True, **lookups)
+    cfg.run(rd.from_arrow(batch(texts, hosts=hosts)), str(tmp_path / "post"))
+    assert _routed(tmp_path / "post",
+                   ["url", "country", "blacklisted", "intel_hit"]) == [
+        {"url": "https://a.com/p/0", "country": "US",
+         "blacklisted": False, "intel_hit": False},
+        {"url": "https://a.com/p/2", "country": "US",
+         "blacklisted": False, "intel_hit": False},
+        {"url": "https://b.com/p/1", "country": "DE",
+         "blacklisted": True, "intel_hit": True},
+        {"url": "https://c.com/p/3", "country": "FR",
+         "blacklisted": False, "intel_hit": False},
+    ]
+
+
 def test_preprune_bounds_hot_key():
     """Skew guard: a host with 50k rows in ONE bucket ships at most C
     rows per input batch into the shuffle (not 50k)."""

@@ -32,7 +32,7 @@ assert can_fuse(RULES)
 SID_META = {r.sid: r for r in RULES}
 
 
-def alerts_table(rows):
+def alerts_table(rows, sid_meta=SID_META):
     """rows: (sid, host, ts_sec) triples."""
     n = len(rows)
     return pa.table(
@@ -46,8 +46,8 @@ def alerts_table(rows):
             "text": pa.array(["t"] * n),
             "sid": pa.array([r[0] for r in rows], type=pa.int64()),
             "rev": pa.array([1] * n, type=pa.int32()),
-            "msg": pa.array([SID_META[r[0]].msg for r in rows]),
-            "classification": pa.array([SID_META[r[0]].classtype for r in rows]),
+            "msg": pa.array([sid_meta[r[0]].msg for r in rows]),
+            "classification": pa.array([sid_meta[r[0]].classtype for r in rows]),
             "priority": pa.array([2] * n, type=pa.int32()),
         }
     )
@@ -108,3 +108,35 @@ def test_fused_large_random(ray_session):
     )
     fused = apply_correlation_fused(alerts, RULES)
     assert routed_set(two_phase) == routed_set(fused)
+
+
+MIXED_RULES, _ = parse_rules("""
+alert any any any -> any any (msg:"set"; sid:1; content:"ee"; classtype:not-suspicious; xbits:set,b1,track by_host,expire 150;)
+alert any any any -> any any (msg:"lim+iss"; sid:2; content:"ff"; classtype:correlated-attack; threshold: type limit, track by_host, count 1, seconds 100; xbits:isset,b1,track by_host;)
+""")
+MIXED_META = {r.sid: r for r in MIXED_RULES}
+
+
+@pytest.mark.parametrize(
+    "lim_ts, routed_lim",
+    [
+        # limit keeps only t=5, where b1 (set at t=10) is not yet set
+        ([5, 20, 30], []),
+        # limit keeps t=20; b1 was set at t=10 and has not expired
+        ([20, 30], [20]),
+    ],
+)
+def test_gate_alerts_mixed_family(ray_session, lim_ts, routed_lim):
+    """A rule with BOTH a threshold and an xbits test cannot fuse, so
+    gate_alerts runs the two-phase plan: threshold first, then xbits."""
+    import ray.data as rd
+
+    from sagan_ray.pipelines.flagship import gate_alerts
+
+    assert not can_fuse(MIXED_RULES)
+    rows = [(1, "h1", 10)] + [(2, "h1", t) for t in lim_ts]
+    alerts = rd.from_arrow(alerts_table(rows, MIXED_META))
+    routed = gate_alerts(alerts, MIXED_RULES).to_pandas()
+    ts_by_url = {f"u{i:04d}": t for i, (_s, _h, t) in enumerate(rows)}
+    got = sorted((s, ts_by_url[u]) for s, u in zip(routed["sid"], routed["url"]))
+    assert got == [(1, 10)] + [(2, t) for t in routed_lim]
