@@ -7,7 +7,8 @@ see SURVEY.md for the public upstream anchors), re-expressed as
 
 * vectorized rule matching (content / pcre / meta_content) via
   ``map_batches`` over zero-copy Arrow batches,
-* stateful enrichment (GeoIP-analogue, blacklist, intel) via actor pools,
+* enrichment (GeoIP-analogue, blacklist, intel) as one task-mode stage
+  whose lookup tables (and mmdb reader) are built once per worker process,
 * threshold / after correlation via ``groupby((sid, host, bucket))``,
 * fan-out routing to per-classification sinks with a counts manifest,
 * per-partition lineage records and checkpoint/resume.

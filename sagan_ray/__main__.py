@@ -5,7 +5,10 @@
         [--num-cpus 32]
 
 Checkpointed by default (resume by re-running with the same --out);
---streaming does a single-pass run without lineage. This entry point
+--streaming does a single-pass run without lineage. Only --streaming
+applies the whole --config; the checkpointed and --follow modes use its
+rules and vars alone, so they refuse (exit 2) a config that sets ignore,
+enrich, lookup files, write_eve, syslog or smtp. This entry point
 OWNS the Ray session (guarded init) — library code never does.
 """
 
@@ -16,6 +19,28 @@ import glob
 import json
 import os
 import sys
+
+
+def _load_config(args):
+    from .engine import EngineConfig
+
+    cfg = EngineConfig.from_yaml(args.config) if args.config else EngineConfig()
+    if args.rules:
+        cfg.rules_files = list(cfg.rules_files) + args.rules
+    return cfg
+
+
+def _streaming_only_keys(cfg) -> list[str]:
+    """The config keys set in ``cfg`` that only ``EngineConfig.run`` (the
+    --streaming path) applies; the checkpointed and --follow modes use
+    the rules alone."""
+    settings = {
+        "ignore": cfg.ignore_patterns, "enrich": cfg.enrich,
+        "geo_file": cfg.geo, "blacklist_file": cfg.blacklist,
+        "intel_file": cfg.intel, "write_eve": cfg.write_eve,
+        "syslog": cfg.syslog, "smtp": cfg.smtp,
+    }
+    return [k for k, v in settings.items() if v]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -91,12 +116,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.cmd == "check":
-        from .engine import EngineConfig
-
-        cfg = EngineConfig.from_yaml(args.config) if args.config else EngineConfig()
-        if args.rules:
-            cfg.rules_files = list(cfg.rules_files) + args.rules
         try:
+            cfg = _load_config(args)
             rules = cfg.load_rules()
         except (ValueError, OSError) as e:
             print(f"INVALID: {e}", file=sys.stderr)
@@ -113,6 +134,21 @@ def main(argv: list[str] | None = None) -> int:
             "xbits": sum(1 for r in rules if r.xbits),
         }))
         return 0
+
+    if args.cmd == "run":
+        # the config is validated before a Ray session exists: a bad
+        # config must fail fast and leave no session behind
+        try:
+            cfg = _load_config(args)
+        except ValueError as e:
+            print(f"INVALID: {e}", file=sys.stderr)
+            return 2
+        dropped = [] if args.streaming else _streaming_only_keys(cfg)
+        if dropped:
+            print(f"--config keys {dropped} apply only with --streaming; "
+                  "the checkpointed and --follow modes would drop them",
+                  file=sys.stderr)
+            return 2
 
     import ray
 
@@ -176,11 +212,6 @@ def main(argv: list[str] | None = None) -> int:
                               "dropped": n_in - n_out, "out": args.out}))
             return 0
 
-        from .engine import EngineConfig
-
-        cfg = EngineConfig.from_yaml(args.config) if args.config else EngineConfig()
-        if args.rules:
-            cfg.rules_files = list(cfg.rules_files) + args.rules
         files = sorted(glob.glob(args.input))
         if not files:
             print(f"no input files match {args.input!r}", file=sys.stderr)

@@ -14,8 +14,14 @@ can insert their own ``map_batches`` steps between the built-ins
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, runtime_checkable
+
+
+#: top-level keys ``EngineConfig.from_yaml`` accepts; any other is an error
+_YAML_KEYS = ("rules", "vars", "ignore", "enrich", "write_eve", "syslog",
+              "smtp", "geo_file", "blacklist_file", "intel_file")
 
 
 @runtime_checkable
@@ -46,7 +52,6 @@ class EngineConfig:
     geo: dict = field(default_factory=dict)
     blacklist: set = field(default_factory=set)
     intel: list = field(default_factory=list)
-    enrich_concurrency: int = 4
     pre_stages: list[Stage] = field(default_factory=list)   # before match
     post_stages: list[Stage] = field(default_factory=list)  # after gating
     write_eve: bool = False
@@ -61,32 +66,41 @@ class EngineConfig:
     def from_yaml(cls, path: str) -> "EngineConfig":
         """Load the sagan.yaml-analogue config file. Recognized keys:
         rules (list of file paths), vars (name -> list), ignore (list of
-        substrings), enrich (bool), enrich_concurrency (int),
-        write_eve (bool), and lookup-table files mirroring upstream's
-        processor config: geo_file (CSV ``host,country``), blacklist_file
-        (one host or CIDR per line), intel_file (one indicator substring
-        per line — the zeek-intel TSV analogue)."""
+        substrings), enrich (bool), write_eve (bool), syslog / smtp
+        (re-emit sink settings), and lookup-table files mirroring
+        upstream's processor config: geo_file (CSV ``host,country``),
+        blacklist_file (one host or CIDR per line), intel_file (one
+        indicator substring per line — the zeek-intel TSV analogue).
+        Enrichment is a single task-mode stage with no tuning keys: each
+        worker process builds the lookup tables, and opens an mmdb
+        reader when one is given, once.
+
+        Raises ``ValueError`` naming every unrecognized top-level key (a
+        misspelled or retired setting must not be dropped silently)."""
         import yaml
 
         with open(path) as f:
             raw = yaml.safe_load(f) or {}
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: config must be a mapping of keys")
+        unknown = sorted(set(raw) - set(_YAML_KEYS))
+        if unknown:
+            raise ValueError(f"{path}: unknown config keys {unknown}; "
+                             f"recognized: {list(_YAML_KEYS)}")
         cfg = cls(
             rules_files=list(raw.get("rules", [])),
             var_table={k: list(v) for k, v in (raw.get("vars") or {}).items()},
             ignore_patterns=list(raw.get("ignore", [])),
             enrich=bool(raw.get("enrich", False)),
-            enrich_concurrency=int(raw.get("enrich_concurrency", 4)),
             write_eve=bool(raw.get("write_eve", False)),
         )
         if raw.get("syslog"):
             cfg.syslog = dict(raw["syslog"])
         if raw.get("smtp"):
             cfg.smtp = dict(raw["smtp"])
-        base = __import__("os").path.dirname(__import__("os").path.abspath(path))
+        base = os.path.dirname(os.path.abspath(path))
 
         def _resolve(p: str) -> str:
-            import os
-
             return p if os.path.isabs(p) else os.path.join(base, p)
 
         if raw.get("geo_file"):
@@ -124,32 +138,16 @@ class EngineConfig:
         return rules
 
     def build_alerts(self, ds, rules=None):
-        from .stages.enrich import enrich_stage
-        from .stages.ignore import ignore_stage
-        from .stages.match import match_alerts
+        from .pipelines.flagship import _compose_alerts
 
         rules = rules if rules is not None else self.load_rules()
-        if self.ignore_patterns:
-            ds = ignore_stage(ds, self.ignore_patterns)
-        from .pipelines.flagship import gate_alerts, rules_need_enrichment
-
-        # enrichment placement: pre-match only when a rule gates on the
-        # enrichment columns; otherwise over the (small) gated stream
-        pre_enrich = self.enrich and rules_need_enrichment(rules)
-        if pre_enrich:
-            ds = enrich_stage(ds, self.geo, self.blacklist, self.intel,
-                              concurrency=self.enrich_concurrency)
-        for st in self.pre_stages:
-            ds = st.apply(ds)
-        alerts = match_alerts(ds, rules)
-        alerts = gate_alerts(alerts, rules)
-        if self.enrich and not pre_enrich:
-            alerts = enrich_stage(alerts, self.geo, self.blacklist,
-                                  self.intel,
-                                  concurrency=self.enrich_concurrency)
-        for st in self.post_stages:
-            alerts = st.apply(alerts)
-        return alerts
+        return _compose_alerts(
+            ds, rules,
+            lookups=(self.geo, self.blacklist, self.intel) if self.enrich else None,
+            ignore_patterns=self.ignore_patterns,
+            pre_stages=[st.apply for st in self.pre_stages],
+            post_stages=[st.apply for st in self.post_stages],
+        )
 
     def run(self, ds, out_dir: str) -> dict:
         from .stages.route import route_alerts
@@ -166,8 +164,6 @@ class EngineConfig:
             # feeds the emitter actor pools block by block — the routed
             # set (~25% of input at flagship rates, with url/msg
             # payloads) never materializes on the driver
-            import os
-
             from .sources import read_parquet_clean
 
             routed = read_parquet_clean(os.path.join(out_dir, "sinks"))

@@ -6,10 +6,16 @@ Ray-Data restatement of the reference daemon's steady-state path
 fan-out; see SURVEY.md §3.1):
 
     read_parquet → map_batches(parse) → map_batches(match, rules)
-      → [map_batches(Enrich actor pool)]
+      → [map_batches(enrich)]
       → groupby((sid, ckey, bucket)).map_groups(threshold/after)
       → xbits two-pass join → write_parquet(partition_cols=[classification])
       → manifest.json
+
+Stage order and enrichment placement are decided in one function,
+:func:`_compose_alerts`, used by :func:`alerts_pipeline` and by
+``EngineConfig.build_alerts``. Enrichment is one task-mode
+``map_batches`` stage: each worker process builds its lookup
+structures, and opens the mmdb reader when one is configured, once.
 
 Two-stage checkpointed variant (:func:`run_flagship`): stage A
 (parse+match — the expensive scan) checkpoints alerts per input-file
@@ -29,30 +35,10 @@ from ..rules import Rule, load_rules_file
 from ..sources.webpages import derive_batch
 from ..stages.correlate import apply_correlation, apply_xbits
 from ..stages.enrich import default_lookups, enrich_stage
+from ..stages.ignore import ignore_stage
 from ..stages.match import match_alerts
 from ..stages.route import route_alerts, sink_manifest
 from ..state import lineage
-
-def coalesce_alerts(alerts, rows: int | None = None):
-    """Coalesce the (materialized) alert stream into full-sized blocks.
-
-    The match stage filters a wide input down to a sparse alert stream:
-    hundreds of input blocks each carrying a few alert rows. Feeding
-    those tiny blocks into the correlation shuffles costs ~10x in
-    per-block overhead (measured: 9.5s vs 0.9s for a 100k-row groupby at
-    448 vs 32 blocks). Target ~50k alert rows per block, bounded by
-    2x available CPUs."""
-    import ray
-
-    if rows is None:
-        rows = alerts.count()
-    cpus = (
-        int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    )
-    nb = max(1, min(2 * cpus, rows // 50_000 + 1))
-    if alerts.num_blocks() > nb * 2:
-        alerts = alerts.repartition(nb)
-    return alerts
 
 
 DEFAULT_RULES = os.path.join(
@@ -74,9 +60,9 @@ def rules_need_enrichment(rules: list[Rule]) -> bool:
     return any(r.country_code is not None or r.blacklist is not None for r in rules)
 
 
-def alerts_pipeline(webpages_ds, rules: list[Rule], enrich: bool = False,
-                    concurrency: int | None = None):
-    """webpages Dataset -> routed-ready alerts Dataset.
+def alerts_pipeline(webpages_ds, rules: list[Rule], enrich: bool = False):
+    """webpages Dataset -> routed-ready alerts Dataset, enriched from the
+    fixture lookup tables when ``enrich``.
 
     The alert stream is MATERIALIZED after the match stage: correlation
     and xbits each branch the stream (plain / correlated / state rows),
@@ -84,36 +70,39 @@ def alerts_pipeline(webpages_ds, rules: list[Rule], enrich: bool = False,
     parse+match scan. Alerts are orders of magnitude smaller than the
     input (the reduced set), so pinning them in the object store is the
     intended pattern; at sizes where even alerts don't fit, use
-    ``run_flagship`` which checkpoints them to parquet instead.
+    ``run_flagship`` which checkpoints them to parquet instead."""
+    return _compose_alerts(webpages_ds, rules,
+                           lookups=default_lookups() if enrich else None)
 
-    Enrichment placement: when a rule GATES on an enrichment column the
-    actor pool must run over the full input pre-match; otherwise the
-    columns are only decoration for the routed records, so the pool runs
-    over the (orders-of-magnitude smaller) gated alert stream — at
-    10^12 rows that removes an actor hop per input row."""
-    if enrich and concurrency is None:
-        # size the actor pool to ~half the CPUs so the match/read
-        # stages aren't starved (a pool reserving every CPU
-        # serializes the pipeline)
-        import ray
 
-        cpus = (
-            int(ray.cluster_resources().get("CPU", 8))
-            if ray.is_initialized()
-            else 8
-        )
-        concurrency = max(2, cpus // 2)
-    pre_enrich = enrich and rules_need_enrichment(rules)
+def _compose_alerts(ds, rules: list[Rule], lookups=None,
+                    ignore_patterns=(), pre_stages=(), post_stages=()):
+    """The one place that decides stage order and enrichment placement:
+    ignore → [enrich] → pre_stages → match → gate → [enrich] → post_stages.
+
+    ``lookups`` is the ``(geo, blacklist, intel)`` triple, or None for no
+    enrichment; the stages are ``Dataset -> Dataset`` callables. When a
+    rule GATES on an enrichment column, enrichment must run over the
+    full input pre-match; otherwise the columns are only decoration for
+    the routed records, so it runs over the (orders-of-magnitude
+    smaller) gated alert stream.
+
+    ``enrich_stage``, ``match_alerts`` and ``gate_alerts`` are looked up
+    as this module's globals at call time, so a tracer that patches them
+    here sees every layer."""
+    if ignore_patterns:
+        ds = ignore_stage(ds, ignore_patterns)
+    pre_enrich = lookups is not None and rules_need_enrichment(rules)
     if pre_enrich:
-        geo, bl, intel = default_lookups()
-        webpages_ds = enrich_stage(webpages_ds, geo, bl, intel,
-                                   concurrency=concurrency)
-    alerts = match_alerts(webpages_ds, rules)
-    gated = gate_alerts(alerts, rules)
-    if enrich and not pre_enrich:
-        geo, bl, intel = default_lookups()
-        gated = enrich_stage(gated, geo, bl, intel, concurrency=concurrency)
-    return gated
+        ds = enrich_stage(ds, *lookups)
+    for stage in pre_stages:
+        ds = stage(ds)
+    alerts = gate_alerts(match_alerts(ds, rules), rules)
+    if lookups is not None and not pre_enrich:
+        alerts = enrich_stage(alerts, *lookups)
+    for stage in post_stages:
+        alerts = stage(alerts)
+    return alerts
 
 
 def _shuffle_width() -> int:

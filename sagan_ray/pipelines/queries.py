@@ -425,7 +425,7 @@ def q_wp_enrich_join(sf_dir):
 def q_wp_blacklist_semi(sf_dir):
     geo, bl, intel = default_lookups()
     ds = webpages_from_documents(sf_dir, include_html=False)
-    ds = enrich_stage(ds, geo, bl, intel, concurrency=2)
+    ds = enrich_stage(ds, geo, bl, intel)
     ds = ds.map_batches(
         lambda t: t.filter(t["blacklisted"]), batch_format="pyarrow"
     )
@@ -614,11 +614,14 @@ def q_tpch_semi_anti(sf_dir):
     """Distributed semi AND anti join in one judged query (slot freed
     for ev_range_join): customers with at least one order, union
     customers with no big order, tagged by kind. Both sides stay
-    Datasets — no driver-side key-set build."""
+    Datasets — no driver-side key-set build. The semi side materializes
+    before the union: two hash joins in one plan each reserve their
+    aggregators' memory up front, and where Ray's memory resource cannot
+    hold both at once neither starts (the plan hangs)."""
     semi = _tpch_semi(sf_dir).map_batches(
         lambda t: t.append_column("kind", pa.array(["semi"] * len(t))),
         batch_format="pyarrow",
-    )
+    ).materialize()
     anti = _tpch_anti(sf_dir).map_batches(
         lambda t: t.append_column("kind", pa.array(["anti"] * len(t))),
         batch_format="pyarrow",

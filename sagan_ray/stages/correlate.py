@@ -127,14 +127,6 @@ def _pair_key_pa(tbl: pa.Table):
     return pc.binary_join_element_wise(side("src_ip"), side("dst_ip"), "|")
 
 
-def _pair_key_pd(df: pd.DataFrame) -> pd.Series:
-    s = (df["src_ip"] if "src_ip" in df.columns
-         else pd.Series("", index=df.index)).fillna("")
-    d = (df["dst_ip"] if "dst_ip" in df.columns
-         else pd.Series("", index=df.index)).fillna("")
-    return s.astype(str) + "|" + d.astype(str)
-
-
 def corr_specs(rules: list[Rule]) -> dict[int, dict]:
     """sid -> correlation spec (kind, type, count, seconds, track col)."""
     specs: dict[int, dict] = {}

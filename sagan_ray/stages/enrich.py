@@ -1,15 +1,17 @@
-"""Stateful enrichment actor pool.
+"""Enrichment: geo / blacklist / intel lookups as one task-mode stage.
 
 Reference: per-thread handles / in-memory tables probed per event —
 GeoIP2 (``src/geoip2.c`` GeoIP2_Lookup_Country), IP/host blacklist
 (``src/processors/blacklist.c``), Zeek intel sets
 (``src/processors/zeek-intel.c``), DNS cache (``src/dns.c``).
 
-Here: ONE actor-pool ``map_batches`` stage. The small sides are placed
-in the object store once via ``ray.put`` on the driver; each actor
-fetches them in ``__init__`` (zero-copy shared read on a node — the
-broadcast-join pattern), builds numpy-friendly lookup structures, and
-every ``__call__`` is a vectorized probe. No shuffle ever.
+Here: ONE task-mode ``map_batches`` stage (no actor pool). The small
+sides are placed in the object store once via ``ray.put`` on the
+driver; each worker process fetches them (zero-copy shared read on a
+node — the broadcast-join pattern) and builds one :class:`Enrich` with
+numpy-friendly lookup structures — and opens the mmdb reader, when one
+is given — once, cached by ref identity; every batch is a vectorized
+probe. No shuffle ever.
 
 Adds columns: ``country`` (geo by host, lang fallback), ``blacklisted``
 (bool), ``intel_hit`` (bool, any intel indicator substring present in
@@ -36,7 +38,7 @@ class Enrich:
         self.blacklist: frozenset[str] = frozenset(_get(blacklist_ref) or ())
         self.intel: tuple[str, ...] = tuple(_get(intel_ref) or ())
         # real GeoIP2 path (upstream src/geoip2.c GeoIP2_Lookup_Country):
-        # the .mmdb reader opens ONCE per actor/worker from a local file
+        # the .mmdb reader opens ONCE per worker process from a local file
         # path (mmdb files are node-local artifacts, not broadcast
         # payloads); when maxminddb isn't installed the broadcast dict
         # remains the only source — same `country` column contract
@@ -103,23 +105,12 @@ class Enrich:
         )
 
 
-# Below this many lookup entries the per-task plasma fetch (zero-copy,
-# same-node) is ~free and a dedicated pool is pure overhead.
-_TASK_MODE_MAX_ENTRIES = 1_000_000
-
 #: per-worker-process Enrich instances keyed by broadcast-ref identity
 _ENRICH_BY_REFS: dict = {}
 
 
 def _enrich_cached(geo_ref, bl_ref, intel_ref,
                    mmdb_path: str | None = None) -> "Enrich":
-    import ray
-
-    if not all(isinstance(r, ray.ObjectRef)
-               for r in (geo_ref, bl_ref, intel_ref)):
-        # non-ref inputs (tests / direct callers): id() keys are unsafe
-        # after GC reuse — skip caching, construction is cheap there
-        return Enrich(geo_ref, bl_ref, intel_ref, mmdb_path)
     key = (*(r.hex() for r in (geo_ref, bl_ref, intel_ref)), mmdb_path)
     e = _ENRICH_BY_REFS.get(key)
     if e is None:
@@ -130,48 +121,24 @@ def _enrich_cached(geo_ref, bl_ref, intel_ref,
 
 
 def enrich_stage(ds, geo: dict, blacklist: set, intel: list,
-                 concurrency: int | tuple[int, int] = 4,
-                 mode: str = "auto", mmdb_path: str | None = None):
-    """Attach the enrichment stage to a Dataset.
-
-    Two physical plans, selected by broadcast-state size (``mode="auto"``):
-
-    * ``task``  — small lookup sides: plain ``map_batches`` tasks that
-      fetch the ``ray.put`` refs per block (zero-copy shared read on the
-      node). Tasks reserve nothing, so the stage pipelines perfectly
-      with the match stage — measured 14.9 s vs 18.3 s for the actor
-      pool on the 32 M-row enriched flagship.
-    * ``actor`` — heavy state (a real GeoIP mmdb, a model): AUTOSCALING
-      actor pool ``(1, n)`` so construction cost is paid once per actor
-      and idle actors never starve upstream stages.
-    """
+                 mmdb_path: str | None = None):
+    """Attach the enrichment stage to a Dataset: plain ``map_batches``
+    tasks that fetch the ``ray.put`` lookup refs per block (zero-copy
+    shared read on the node). Tasks reserve nothing, so the stage
+    pipelines with the match stage — measured 14.9 s vs 18.3 s for an
+    actor pool on the 32 M-row enriched flagship. The lookup structures
+    (and the mmdb reader, when ``mmdb_path`` names one) are built once
+    per worker process, not per batch."""
     import ray
 
     geo_ref = ray.put(geo)
     bl_ref = ray.put(set(blacklist))
     intel_ref = ray.put(list(intel))
-    if mode == "auto":
-        n_entries = len(geo) + len(blacklist) + len(intel)
-        # an mmdb reader is heavy per-open state: prefer the actor pool
-        mode = ("task" if n_entries <= _TASK_MODE_MAX_ENTRIES
-                and mmdb_path is None else "actor")
-    if mode == "task":
-        def enrich_batch(t: pa.Table) -> pa.Table:
-            # lookup structures built once per WORKER PROCESS, not per
-            # batch (ray.get is zero-copy, but frozenset/tuple builds
-            # aren't): cached by object-ref identity
-            return _enrich_cached(geo_ref, bl_ref, intel_ref, mmdb_path)(t)
 
-        return ds.map_batches(enrich_batch, batch_format="pyarrow")
-    if isinstance(concurrency, int):
-        concurrency = (1, max(1, concurrency))
-    return ds.map_batches(
-        Enrich,
-        fn_constructor_args=(geo_ref, bl_ref, intel_ref, mmdb_path),
-        batch_format="pyarrow",
-        concurrency=concurrency,
-        num_cpus=1,
-    )
+    def enrich_batch(t: pa.Table) -> pa.Table:
+        return _enrich_cached(geo_ref, bl_ref, intel_ref, mmdb_path)(t)
+
+    return ds.map_batches(enrich_batch, batch_format="pyarrow")
 
 
 class DnsCache:

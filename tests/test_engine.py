@@ -2,6 +2,7 @@
 columns, user stages."""
 
 import pyarrow as pa
+import pytest
 
 from sagan_ray.engine import EngineConfig, FnStage
 from sagan_ray.rules import parse_rule, parse_rules
@@ -252,3 +253,37 @@ def test_cli_check(tmp_path):
         capture_output=True, text=True, cwd="/root/repo",
     )
     assert r.returncode == 1 and "INVALID" in r.stderr
+
+
+def test_from_yaml_rejects_unknown_keys(tmp_path):
+    """A misspelled or retired key (enrich_concurrency) is an error that
+    names the key, and `check --config` reports it as INVALID."""
+    from sagan_ray.__main__ import main
+
+    cfg_file = tmp_path / "engine.yaml"
+    cfg_file.write_text("enrich: true\nenrich_concurrency: 8\nignroe:\n  - x\n")
+    with pytest.raises(ValueError, match=r"\['enrich_concurrency', 'ignroe'\]"):
+        EngineConfig.from_yaml(str(cfg_file))
+    assert main(["check", "--config", str(cfg_file)]) == 1
+
+
+@pytest.mark.parametrize("mode", [[], ["--follow"]])
+def test_cli_run_refuses_streaming_only_config(tmp_path, capsys, mode):
+    """Without --streaming the run uses only the config's rules, so a
+    config that sets anything else is refused (exit 2) rather than
+    silently half-applied."""
+    from sagan_ray.__main__ import main
+
+    (tmp_path / "bl.txt").write_text("bad.com\n")
+    cfg_file = tmp_path / "engine.yaml"
+    cfg_file.write_text(
+        "ignore:\n  - SKIPME\nenrich: true\nblacklist_file: bl.txt\n"
+        "write_eve: true\n"
+    )
+    rc = main(["run", "--input", str(tmp_path / "*.parquet"),
+               "--out", str(tmp_path / "out"), "--config", str(cfg_file),
+               *mode])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "['ignore', 'enrich', 'blacklist_file', 'write_eve']" in err
+    assert not (tmp_path / "out").exists()

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sagan_ray.pipelines.flagship import coalesce_alerts
 from sagan_ray.rules import parse_rules
 from sagan_ray.stages.correlate import (
     apply_correlation,
@@ -102,7 +101,7 @@ def test_fused_large_random(ray_session):
         .map_batches(lambda t: t, batch_size=128, batch_format="pyarrow")
         .materialize()
     )
-    alerts = coalesce_alerts(alerts).materialize()
+    alerts = alerts.repartition(1).materialize()
     two_phase = apply_xbits(
         apply_correlation(alerts, RULES).materialize(), RULES
     )

@@ -395,7 +395,7 @@ def test_csv_source(ray_session, tmp_path):
     assert list(out.columns) == ["host", "level", "message"]
 
 
-def test_enrich_task_vs_actor_mode_identical(ray_session):
+def test_enrich_stage_lookup_values(ray_session):
     import ray.data as rd
 
     from sagan_ray.stages.enrich import default_lookups, enrich_stage
@@ -406,19 +406,12 @@ def test_enrich_task_vs_actor_mode_identical(ray_session):
         hosts=["src3.example.com", "src7.example.com"],
     )
     a = (
-        enrich_stage(rd.from_arrow(t), geo, bl, intel, mode="task")
+        enrich_stage(rd.from_arrow(t), geo, bl, intel)
         .to_pandas()
         .sort_values("host")
         .reset_index(drop=True)
     )
-    b = (
-        enrich_stage(rd.from_arrow(t), geo, bl, intel, mode="actor",
-                     concurrency=2)
-        .to_pandas()
-        .sort_values("host")
-        .reset_index(drop=True)
-    )
-    assert a.equals(b)
+    assert a["country"].tolist() == ["CN", "FR"]  # i % 5 -> US,DE,FR,CN,RU
     assert a["blacklisted"].tolist() == [False, True]  # src7: 7 % 7 == 0
     assert a["intel_hit"].tolist() == [True, False]
 
