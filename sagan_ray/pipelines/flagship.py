@@ -5,11 +5,18 @@ Ray-Data restatement of the reference daemon's steady-state path
 → ``src/processors/engine.c`` predicate sequence → ``src/output.c``
 fan-out; see SURVEY.md §3.1):
 
-    read_parquet → map_batches(parse) → map_batches(match, rules)
-      → [map_batches(enrich)]
-      → groupby((sid, ckey, bucket)).map_groups(threshold/after)
-      → xbits two-pass join → write_parquet(partition_cols=[classification])
-      → manifest.json
+    read_parquet → map_batches(parse) → [map_batches(enrich): rule gates on it]
+      → map_batches(match, rules) → materialize (the alert stream)
+      → gate (threshold/after + xbits):
+          size ≤ target_max_block_size: repartition(1) → map_batches(gate)
+          larger: tagged groupby(gb).map_groups(gate) ∪ bypass rows
+      → [map_batches(enrich): otherwise]
+      → write_parquet(partition_cols=[classification]) → manifest.json
+
+The gate's plan is chosen by :func:`gate_alerts` from the materialized
+stream's size against Ray's own block-size target, so no setting selects
+it. The daemon's stage B switches to the exchange by itself once its
+lifetime checkpoint grows past one block.
 
 Stage order and enrichment placement are decided in one function,
 :func:`_compose_alerts`, used by :func:`alerts_pipeline` and by
@@ -113,21 +120,32 @@ def _shuffle_width() -> int:
 
 
 def gate_alerts(alerts, rules: list[Rule]):
-    """Apply correlation + xbits with the minimal number of passes:
-    fused single-shuffle path when no rule mixes both families.
+    """Apply correlation + xbits, with the plan chosen by the size of the
+    materialized alert stream.
 
-    The alert stream is repartitioned IN-STREAM (before the single
-    materialize): the match stage's output is hundreds of near-empty
-    filtered blocks, which cost ~10x in shuffle overhead, and
-    repartitioning a MaterializedDataset afterwards re-pays seconds of
-    fixed cost per call (measured 5s vs 0.25s)."""
-    from ..stages.correlate import apply_correlation_fused, can_fuse
+    A stream at or under the ``target_max_block_size`` of the
+    ``DataContext`` it runs under (Ray's own block-size target; ``None``
+    means unbounded) is gated in ONE task
+    (``correlate.gate_in_one_task``): the whole stream is one block, so
+    every logical group is already whole and no exchange is needed.
+
+    A larger stream takes the tagged hash exchange: the fused
+    single-shuffle plan when no rule mixes threshold/after with xbits,
+    else the two-phase plan (correlation, then xbits). Its fragmented
+    input (the match stage emits many near-empty filtered blocks, which
+    cost ~10x in shuffle overhead) is coalesced to ``_shuffle_width()``
+    blocks first."""
+    from ..stages.correlate import (apply_correlation_fused, can_fuse,
+                                    gate_in_one_task)
 
     alerts = _drop_noalert(alerts, rules)
     needs_branching = any(r.threshold or r.after or r.xbits for r in rules)
     if not needs_branching:
         return alerts
     alerts = alerts.materialize()
+    block_bytes = alerts.context.target_max_block_size
+    if block_bytes is None or alerts.size_bytes() <= block_bytes:
+        return gate_in_one_task(alerts, rules)
     width = _shuffle_width()
     if alerts.num_blocks() > 2 * width:
         # only pay the coalesce when the filtered stream really is

@@ -19,19 +19,29 @@ All three are exactly expressible as DuckDB window functions — that IS
 the parity oracle.
 
 Physical shape (scale notes):
+* Each gate family is a :class:`GatePlan` — bypass, tag and gate row
+  functions built once per rule set (:func:`fused_plan`,
+  :func:`correlation_plan`, :func:`xbits_plan`). Two physical plans run
+  the same row functions; only the exchange differs.
 * The caller materializes/checkpoints the alert stream once before the
   correlation branches (alerts ≪ input) so the expensive match stage is
-  never re-executed per branch.
-* ONE hash shuffle, keyed on ``gb = hash(sid,ckey,bucket) % NB`` —
-  logical groups are co-located into NB coarse partitions and the gate
-  runs as VECTORIZED pandas groupby ops per partition (no per-tiny-group
-  Python call overhead).
+  never re-executed per branch, and picks the plan by the stream's
+  size: a stream at or under Ray's ``target_max_block_size`` is gated
+  in ONE task (:func:`gate_in_one_task`: one block holds every logical
+  group whole, so there is no sort-shuffle and no union); a larger one
+  takes the tagged hash exchange (:func:`_shuffled`).
+* The exchange is ONE hash shuffle, keyed on
+  ``gb = hash(sid,ckey,bucket) % NB`` — logical groups are co-located
+  into NB coarse partitions and the gate runs vectorized per partition
+  (no per-tiny-group Python call overhead).
 * Hot-host skew: a batch-local pre-prune keeps at most C rows per
   (sid,key,bucket) per input batch for `limit` rules before the shuffle,
   so a host with 10^7 hits in one bucket ships O(C·num_batches) rows.
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -407,15 +417,37 @@ def _gate_partition_pa(t: pa.Table, specs: dict[int, dict]) -> pa.Table:
     return t.take(pa.array(idx))
 
 
-def apply_correlation(alerts_ds, rules: list[Rule]):
-    """alerts Dataset -> gated alerts Dataset.
+class GatePlan(NamedTuple):
+    """The row functions of one gate family, shared by both physical
+    plans (:func:`_shuffled` and :func:`gate_in_one_task`).
 
-    Uncorrelated rules bypass the shuffle entirely. NOTE: the input is
-    consumed by two branches — materialize/checkpoint it first (the
-    pipeline helpers do)."""
+    ``bypass`` keeps the rows that route without meeting their group;
+    ``tag`` emits the rows that must, each carrying a ``gb`` co-location
+    column; ``gate`` decides any frame of WHOLE logical groups (one
+    exchange partition, or the entire stream) and returns routable rows
+    without the helper columns."""
+
+    bypass: Callable[[pa.Table], pa.Table]
+    tag: Callable[[pa.Table], pa.Table]
+    gate: Callable[[pa.Table], pa.Table]
+
+
+def _shuffled(alerts_ds, plan: GatePlan):
+    """Tagged hash exchange: bypass rows stream past it, tagged rows meet
+    their group in one ``gb`` partition. The input is consumed by both
+    branches — materialize it first."""
+    plain = alerts_ds.map_batches(plan.bypass, batch_format="pyarrow")
+    tagged = alerts_ds.map_batches(plan.tag, batch_format="pyarrow")
+    gated = shuffle_groups(tagged, "gb", plan.gate, batch_format="pyarrow")
+    return plain.union(gated)
+
+
+def correlation_plan(rules: list[Rule]) -> GatePlan | None:
+    """Threshold/after gate: uncorrelated rows bypass; correlated rows
+    carry their (ckey, bucket) key. None when no rule correlates."""
     specs = corr_specs(rules)
     if not specs:
-        return alerts_ds
+        return None
     corr_sids = pa.array(list(specs.keys()), type=pa.int64())
 
     def split_plain(batch: pa.Table) -> pa.Table:
@@ -446,14 +478,19 @@ def apply_correlation(alerts_ds, rules: list[Rule]):
         return sub.append_column(
             "gb", pa.array(kdf["gb"].to_numpy(dtype=np.int64)))
 
-    plain = alerts_ds.map_batches(split_plain, batch_format="pyarrow")
-    corr = alerts_ds.map_batches(split_corr, batch_format="pyarrow")
+    def gate(g: pa.Table) -> pa.Table:
+        return _gate_partition_pa(g, specs).drop_columns(["ckey", "bucket", "gb"])
 
-    gated = shuffle_groups(
-        corr, "gb", lambda g: _gate_partition_pa(g, specs),
-        batch_format="pyarrow",
-    ).drop_columns(["ckey", "bucket", "gb"])
-    return plain.union(gated)
+    return GatePlan(split_plain, split_corr, gate)
+
+
+def apply_correlation(alerts_ds, rules: list[Rule]):
+    """alerts Dataset -> gated alerts Dataset, through the tagged
+    exchange (:func:`correlation_plan`). Uncorrelated rules bypass the
+    shuffle. The input is consumed by two branches — materialize or
+    checkpoint it first (the pipeline helpers do)."""
+    plan = correlation_plan(rules)
+    return alerts_ds if plan is None else _shuffled(alerts_ds, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -467,20 +504,16 @@ def can_fuse(rules: list[Rule]) -> bool:
     return not any((r.threshold or r.after) and r.xbits for r in rules)
 
 
-def apply_correlation_fused(alerts_ds, rules: list[Rule]):
-    """Single-shuffle correlation: each alert row is tagged `plain`
-    (bypasses the shuffle), `corr` (threshold/after gating) or `xbit`
-    (exploded per xbit option); corr+xbit rows share one hash exchange
-    keyed on their co-location bucket and are gated/resolved per
-    partition. Replaces apply_correlation→apply_xbits (2 shuffles,
-    ~5 branch scans) with 1 shuffle + 2 scans — the fixed-overhead
-    reduction that makes small-cluster → big-cluster scaling efficient.
-
-    Input must be materialized (it is consumed twice)."""
+def fused_plan(rules: list[Rule]) -> GatePlan | None:
+    """Correlation and xbits in one gate: each alert row is tagged
+    `plain` (bypasses the exchange), `corr` (threshold/after gating) or
+    `xbit` (exploded per xbit option); corr+xbit rows share one
+    co-location key and are gated/resolved together. None when no rule
+    correlates or carries xbits."""
     specs = corr_specs(rules)
     xspecs = xbit_specs(rules)
     if not specs and not xspecs:
-        return alerts_ds
+        return None
     assert can_fuse(rules), "rule with both threshold/after and xbits: use two-phase"
     by_sid = {r.sid: r for r in rules}
     corr_sids = pa.array(list(specs.keys()), type=pa.int64())
@@ -657,14 +690,21 @@ def apply_correlation_fused(alerts_ds, rules: list[Rule]):
         order = [c for c in _CANON if c in cols] + [c for c in cols if c not in _CANON]
         return normalize_alerts(t.select(order))
 
-    plain = alerts_ds.map_batches(bypass, batch_format="pyarrow")
-    tagged = alerts_ds.map_batches(explode_safe, batch_format="pyarrow")
-    gated = shuffle_groups(tagged, "gb", gate_and_resolve,
-                           batch_format="pyarrow")
-    # reattach re-encodes to the canonical arrow schema BEFORE the
-    # union so both branches stream identical block schemas
-    gated = gated.map_batches(reattach, batch_format="pyarrow")
-    return plain.union(gated)
+    def gate(g: pa.Table) -> pa.Table:
+        return reattach(gate_and_resolve(g))
+
+    return GatePlan(bypass, explode_safe, gate)
+
+
+def apply_correlation_fused(alerts_ds, rules: list[Rule]):
+    """Single-shuffle correlation (:func:`fused_plan` through the tagged
+    exchange). Replaces apply_correlation→apply_xbits (2 shuffles, ~5
+    branch scans) with 1 shuffle + 2 scans — the fixed-overhead
+    reduction that makes small-cluster → big-cluster scaling efficient.
+
+    Input must be materialized (it is consumed twice)."""
+    plan = fused_plan(rules)
+    return alerts_ds if plan is None else _shuffled(alerts_ds, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -808,34 +848,33 @@ def _resolve_partition_pa(t: pa.Table) -> pa.Table:
     return t.take(pa.array(order[keep]))
 
 
-def apply_xbits(alerts_ds, rules: list[Rule]):
-    """Two-pass xbits (reference ``src/xbit-mmap.c`` analogue): `set`/
-    `unset` rules contribute state events; `isset`/`isnotset` rules keep
-    rows only when the bit is active at their event time. Evaluated per
-    (bit name, track key) in event-time order inside co-located hash
-    partitions. `noalert` set-rules contribute state but route nothing.
-
-    The input Dataset is consumed by three branches — materialize or
-    checkpoint it first (the pipeline helpers do)."""
+def xbits_plan(rules: list[Rule]) -> GatePlan | None:
+    """Xbits gate (reference ``src/xbit-mmap.c`` analogue): `set`/`unset`
+    rules contribute state events; `isset`/`isnotset` rules keep rows
+    only when the bit is active at their event time, evaluated per (bit
+    name, track key) in event-time order. Rows of rules that carry no
+    xbits, or only set/unset options, route on the bypass; `noalert`
+    rules contribute state but route nothing. None when no rule carries
+    xbits."""
     specs = xbit_specs(rules)
     if not specs:
-        return alerts_ds
+        return None
     by_sid = {r.sid: r for r in rules}
-    xb_sids = pa.array(list(specs.keys()), type=pa.int64())
-    # sids whose xbits include a test (isset/isnotset)
     test_sids = {
         s for s, xbs in specs.items() if any(x.action in ("isset", "isnotset") for x in xbs)
     }
     noalert_sids = {s for s, xbs in specs.items() if by_sid[s].noalert}
-    # same plan-build modulus capture as the fused/correlation paths
-    nb_run = _n_buckets()
+    # every xbit sid that does NOT route its own row: test rules route
+    # only the resolver's keeps, noalert rules never route
+    held = pa.array(sorted(test_sids | noalert_sids), type=pa.int64())
+    noalert_arr = pa.array(sorted(noalert_sids), type=pa.int64())
+    # same plan-build modulus capture as the fused/correlation plans
+    nb_u64 = np.uint64(_n_buckets())
 
-    def split_plain(batch: pa.Table) -> pa.Table:
+    def bypass(batch: pa.Table) -> pa.Table:
         return batch.filter(
-            pc.invert(pc.is_in(batch["sid"], value_set=xb_sids).combine_chunks())
+            pc.invert(pc.is_in(batch["sid"], value_set=held).combine_chunks())
         )
-
-    nb_u64 = np.uint64(nb_run)
 
     def explode_xbit(batch: pa.Table) -> pa.Table:
         """One row per (alert row, xbit option) — Arrow-native per sid:
@@ -888,30 +927,49 @@ def apply_xbits(alerts_ds, rules: list[Rule]):
             return empty
         return pa.concat_tables(parts)
 
-    plain = alerts_ds.map_batches(split_plain, batch_format="pyarrow")
-    xb = alerts_ds.map_batches(explode_xbit, batch_format="pyarrow")
-    resolved = shuffle_groups(
-        xb, "gb", _resolve_partition_pa, batch_format="pyarrow",
-    ).drop_columns(["xname", "xaction", "xkey", "xexpire", "gb"])
-    if noalert_sids:
-        # noalert TEST rules evaluate (their state was consumed in the
-        # resolver) but never route
-        noalert_arr2 = pa.array(sorted(noalert_sids), type=pa.int64())
-        resolved = resolved.map_batches(
-            lambda t: t.filter(pc.invert(pc.is_in(
-                t["sid"], value_set=noalert_arr2).combine_chunks())),
-            batch_format="pyarrow",
-        )
+    def resolve(g: pa.Table) -> pa.Table:
+        out = _resolve_partition_pa(g).drop_columns(
+            ["xname", "xaction", "xkey", "xexpire", "gb"])
+        if len(noalert_arr) and out.num_rows:
+            # noalert TEST rules evaluate (their state was consumed in
+            # the resolver) but never route
+            out = out.filter(pc.invert(pc.is_in(
+                out["sid"], value_set=noalert_arr).combine_chunks()))
+        return out
 
-    # rules whose ONLY xbit options are set/unset still route their own
-    # alert (unless noalert) — their rows aren't in `resolved`
-    setonly_keep = pa.array(
-        [s for s in specs if s not in test_sids and s not in noalert_sids],
-        type=pa.int64(),
-    )
+    return GatePlan(bypass, explode_xbit, resolve)
 
-    def only_set_rows(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.is_in(batch["sid"], value_set=setonly_keep))
 
-    set_rows = alerts_ds.map_batches(only_set_rows, batch_format="pyarrow")
-    return plain.union(resolved).union(set_rows)
+def apply_xbits(alerts_ds, rules: list[Rule]):
+    """Two-pass xbits (:func:`xbits_plan` through the tagged exchange).
+    The input Dataset is consumed by two branches — materialize or
+    checkpoint it first (the pipeline helpers do)."""
+    plan = xbits_plan(rules)
+    return alerts_ds if plan is None else _shuffled(alerts_ds, plan)
+
+
+def gate_in_one_task(alerts_ds, rules: list[Rule]):
+    """Gate a stream small enough for ONE block in one task: the same
+    row functions as the exchange plans (:func:`fused_plan`, or
+    :func:`correlation_plan` then :func:`xbits_plan` when a rule mixes
+    both families), with every logical group already whole in the one
+    table — no sort-shuffle, no union, one output block."""
+    from .route import normalize_alerts
+
+    if can_fuse(rules):
+        plans = [fused_plan(rules)]
+    else:
+        plans = [correlation_plan(rules), xbits_plan(rules)]
+    plans = [p for p in plans if p is not None]
+
+    def gate_all(t: pa.Table) -> pa.Table:
+        for plan in plans:
+            # the fused gate emits the canonical column order and types;
+            # align both halves before concatenating
+            bypassed = normalize_alerts(plan.bypass(t))
+            gated = normalize_alerts(plan.gate(plan.tag(t)))
+            t = pa.concat_tables([bypassed, gated.select(bypassed.column_names)])
+        return t
+
+    return alerts_ds.repartition(1).map_batches(
+        gate_all, batch_size=None, batch_format="pyarrow")

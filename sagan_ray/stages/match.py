@@ -636,7 +636,8 @@ def match_alerts(ds, rules: list[Rule], text_col: str = "text",
     names = schema_names if schema_names is not None else ds.schema().names
     keep = [c for c in ["url", "warc_ts", "host", "lang", "text", "source",
                         "event_id", "props", "country", "blacklisted",
-                        "part_id", "facility", "level", "program", "tag",
+                        "intel_hit", "part_id", "facility", "level",
+                        "program", "tag",
                         "proto"]  # header proto gate reads it (flow.c)
             if c in names]
     if needs_raw and "html" in names:

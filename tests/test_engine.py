@@ -133,7 +133,7 @@ def test_engine_enrichment_placement(ray_session, tmp_path):
     import ray.data as rd
 
     hosts = ["a.com", "b.com", "a.com", "c.com"]
-    texts = ["evil one", "evil needle", "evil two", "evil three"]
+    texts = ["evil one", "evil needle", "evil needle two", "evil three"]
     lookups = dict(geo={"a.com": "US", "b.com": "DE", "c.com": "FR"},
                    blacklist={"b.com"}, intel=["needle"])
 
@@ -146,9 +146,9 @@ def test_engine_enrichment_placement(ray_session, tmp_path):
     manifest = cfg.run(rd.from_arrow(batch(texts, hosts=hosts)),
                        str(tmp_path / "pre"))
     assert manifest["total"] == 2
-    assert _routed(tmp_path / "pre", ["url", "country"]) == [
-        {"url": "https://a.com/p/0", "country": "US"},
-        {"url": "https://a.com/p/2", "country": "US"},
+    assert _routed(tmp_path / "pre", ["url", "country", "intel_hit"]) == [
+        {"url": "https://a.com/p/0", "country": "US", "intel_hit": False},
+        {"url": "https://a.com/p/2", "country": "US", "intel_hit": True},
     ]
 
     plain_rules = tmp_path / "plain.rules"
@@ -163,7 +163,7 @@ def test_engine_enrichment_placement(ray_session, tmp_path):
         {"url": "https://a.com/p/0", "country": "US",
          "blacklisted": False, "intel_hit": False},
         {"url": "https://a.com/p/2", "country": "US",
-         "blacklisted": False, "intel_hit": False},
+         "blacklisted": False, "intel_hit": True},
         {"url": "https://b.com/p/1", "country": "DE",
          "blacklisted": True, "intel_hit": True},
         {"url": "https://c.com/p/3", "country": "FR",

@@ -2,6 +2,9 @@
 EXACTLY the same routed row set as the two-phase path, for random alert
 streams (hypothesis) — the fused path is a pure physical optimization."""
 
+import os
+import re
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sagan_ray.pipelines.flagship import gate_alerts, load_default_rules
 from sagan_ray.rules import parse_rules
 from sagan_ray.stages.correlate import (
     apply_correlation,
@@ -16,6 +20,10 @@ from sagan_ray.stages.correlate import (
     apply_xbits,
     can_fuse,
 )
+from sagan_ray.stages.match import match_alerts
+from sagan_ray.stages.route import route_alerts
+from sagan_ray.sources.webpages import webpages_from_documents
+from test_flagship import SF
 
 RULES_TEXT = """
 alert any any any -> any any (msg:"plain"; sid:1; content:"aa"; classtype:misc-activity;)
@@ -59,6 +67,20 @@ def routed_set(ds):
     return sorted(zip(pdf["url"], pdf["sid"]))
 
 
+def exchange_ops(ds) -> list[str]:
+    """Sort / MapGroups operators a materialized Dataset's plan ran."""
+    return re.findall(r"Operator \d+ (Sort|MapGroups)\b", ds.stats())
+
+
+# each gate test runs under both plans: `block_bytes` (tests/conftest.py)
+# at Ray's default keeps a small stream in one task; lowered below the
+# test's alert stream, it sends gate_alerts through the tagged exchange
+def both_plans(shuffle_block_bytes: int):
+    return pytest.mark.parametrize(
+        "block_bytes", [None, shuffle_block_bytes],
+        ids=["one_block", "shuffle"], indirect=True)
+
+
 @settings(
     max_examples=12,
     deadline=None,
@@ -86,8 +108,11 @@ def test_fused_equals_two_phase(ray_session, rows):
     assert routed_set(two_phase) == routed_set(fused)
 
 
-def test_fused_large_random(ray_session):
-    """One bigger randomized instance across many hosts/batches."""
+@both_plans(4096)
+def test_fused_large_random(ray_session, block_bytes):
+    """One bigger randomized instance across many hosts/batches: the
+    fused exchange and gate_alerts (under each plan) both route exactly
+    the two-phase exchange's rows."""
     import ray.data as rd
 
     rng = np.random.RandomState(11)
@@ -107,6 +132,9 @@ def test_fused_large_random(ray_session):
     )
     fused = apply_correlation_fused(alerts, RULES)
     assert routed_set(two_phase) == routed_set(fused)
+    gated = gate_alerts(alerts, RULES).materialize()
+    assert bool(exchange_ops(gated)) == (block_bytes is not None)
+    assert routed_set(gated) == routed_set(two_phase)
 
 
 MIXED_RULES, _ = parse_rules("""
@@ -116,6 +144,7 @@ alert any any any -> any any (msg:"lim+iss"; sid:2; content:"ff"; classtype:corr
 MIXED_META = {r.sid: r for r in MIXED_RULES}
 
 
+@both_plans(128)
 @pytest.mark.parametrize(
     "lim_ts, routed_lim",
     [
@@ -125,17 +154,52 @@ MIXED_META = {r.sid: r for r in MIXED_RULES}
         ([20, 30], [20]),
     ],
 )
-def test_gate_alerts_mixed_family(ray_session, lim_ts, routed_lim):
+def test_gate_alerts_mixed_family(ray_session, block_bytes, lim_ts,
+                                  routed_lim):
     """A rule with BOTH a threshold and an xbits test cannot fuse, so
-    gate_alerts runs the two-phase plan: threshold first, then xbits."""
+    gate_alerts runs the two-phase family: threshold first, then xbits —
+    in one task, or as two exchanges."""
     import ray.data as rd
-
-    from sagan_ray.pipelines.flagship import gate_alerts
 
     assert not can_fuse(MIXED_RULES)
     rows = [(1, "h1", 10)] + [(2, "h1", t) for t in lim_ts]
     alerts = rd.from_arrow(alerts_table(rows, MIXED_META))
-    routed = gate_alerts(alerts, MIXED_RULES).to_pandas()
+    gated = gate_alerts(alerts, MIXED_RULES).materialize()
+    assert bool(exchange_ops(gated)) == (block_bytes is not None)
+    routed = gated.to_pandas()
     ts_by_url = {f"u{i:04d}": t for i, (_s, _h, t) in enumerate(rows)}
     got = sorted((s, ts_by_url[u]) for s, u in zip(routed["sid"], routed["url"]))
     assert got == [(1, 10)] + [(2, t) for t in routed_lim]
+
+
+def web_alerts():
+    """The match stage's alert stream for web.rules over sf0.001."""
+    return match_alerts(webpages_from_documents(SF), load_default_rules())
+
+
+@both_plans(65536)
+def test_gate_alerts_web_rules(ray_session, block_bytes):
+    """web.rules (limit, after, xbits set+isset with noalert): gate_alerts
+    routes exactly the rows of the two-phase exchange under each plan."""
+    rules = load_default_rules()
+    alerts = web_alerts().materialize()
+    want = routed_set(
+        apply_xbits(apply_correlation(alerts, rules).materialize(), rules))
+    gated = gate_alerts(alerts, rules).materialize()
+    assert bool(exchange_ops(gated)) == (block_bytes is not None)
+    assert routed_set(gated) == want
+
+
+def test_small_stream_gates_in_one_task(ray_session, tmp_path):
+    """An alert stream that fits one block is gated without a sort or
+    MapGroups exchange, into at most 2 blocks, and routes to one parquet
+    file per classification."""
+    gated = gate_alerts(web_alerts(), load_default_rules()).materialize()
+    assert exchange_ops(gated) == []
+    assert gated.num_blocks() <= 2
+    manifest = route_alerts(gated, str(tmp_path))
+    sink_dir = tmp_path / "sinks"
+    for cls in manifest["sinks"]:
+        files = [f for f in os.listdir(sink_dir / f"classification={cls}")
+                 if f.endswith(".parquet")]
+        assert len(files) == 1, (cls, files)
