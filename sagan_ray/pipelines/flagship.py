@@ -7,9 +7,10 @@ fan-out; see SURVEY.md §3.1):
 
     read_parquet → map_batches(parse) → [map_batches(enrich): rule gates on it]
       → map_batches(match, rules) → materialize (the alert stream)
-      → gate (threshold/after + xbits):
-          size ≤ target_max_block_size: repartition(1) → map_batches(gate)
-          larger: tagged groupby(gb).map_groups(gate) ∪ bypass rows
+      → gate (threshold/after + xbits), one plan list correlate.gate_plans:
+          [fused], or [correlation, xbits] when a rule mixes the families
+          size ≤ target_max_block_size: repartition(1) → map_batches(every plan)
+          larger, per plan: tagged groupby(gb).map_groups(gate) ∪ bypass rows
       → [map_batches(enrich): otherwise]
       → write_parquet(partition_cols=[classification]) → manifest.json
 
@@ -40,7 +41,7 @@ import pyarrow.parquet as pq
 
 from ..rules import Rule, load_rules_file
 from ..sources.webpages import derive_batch
-from ..stages.correlate import apply_correlation, apply_xbits
+from ..stages import correlate
 from ..stages.enrich import default_lookups, enrich_stage
 from ..stages.ignore import ignore_stage
 from ..stages.match import match_alerts
@@ -129,15 +130,12 @@ def gate_alerts(alerts, rules: list[Rule]):
     (``correlate.gate_in_one_task``): the whole stream is one block, so
     every logical group is already whole and no exchange is needed.
 
-    A larger stream takes the tagged hash exchange: the fused
-    single-shuffle plan when no rule mixes threshold/after with xbits,
-    else the two-phase plan (correlation, then xbits). Its fragmented
-    input (the match stage emits many near-empty filtered blocks, which
-    cost ~10x in shuffle overhead) is coalesced to ``_shuffle_width()``
-    blocks first."""
-    from ..stages.correlate import (apply_correlation_fused, can_fuse,
-                                    gate_in_one_task)
-
+    A larger stream takes the tagged hash exchange once per plan of
+    ``correlate.gate_plans``: the fused single-shuffle plan when no rule
+    mixes threshold/after with xbits, else correlation, then xbits. Its
+    fragmented input (the match stage emits many near-empty filtered
+    blocks, which cost ~10x in shuffle overhead) is coalesced to
+    ``_shuffle_width()`` blocks first."""
     alerts = _drop_noalert(alerts, rules)
     needs_branching = any(r.threshold or r.after or r.xbits for r in rules)
     if not needs_branching:
@@ -145,32 +143,18 @@ def gate_alerts(alerts, rules: list[Rule]):
     alerts = alerts.materialize()
     block_bytes = alerts.context.target_max_block_size
     if block_bytes is None or alerts.size_bytes() <= block_bytes:
-        return gate_in_one_task(alerts, rules)
+        return correlate.gate_in_one_task(alerts, rules)
     width = _shuffle_width()
-    if alerts.num_blocks() > 2 * width:
-        # only pay the coalesce when the filtered stream really is
-        # fragmented (reads with override_num_blocks never are)
-        alerts = alerts.repartition(width).materialize()
-    if can_fuse(rules):
-        # the fused path normalizes its gated branch internally (before
-        # the union), so block schemas are already uniform
-        return apply_correlation_fused(alerts, rules)
-    alerts = apply_correlation(alerts, rules)
-    if any(r.xbits for r in rules):
+    for plan in correlate.gate_plans(rules):
         alerts = alerts.materialize()
         if alerts.num_blocks() > 2 * width:
+            # only pay the coalesce when the filtered stream really is
+            # fragmented (reads with override_num_blocks never are)
             alerts = alerts.repartition(width).materialize()
-    alerts = apply_xbits(alerts, rules)
-    return _normalize_schema(alerts)
-
-
-def _normalize_schema(alerts):
-    """The gated branches round-trip through pandas, which types all-null
-    columns as `null` — downstream unions/writes then see mixed block
-    schemas. One cast pass restores the canonical alert schema."""
-    from ..stages.route import normalize_alerts
-
-    return alerts.map_batches(normalize_alerts, batch_format="pyarrow")
+        # looked up in the module at call time, so a tracer that patches
+        # correlate.apply_correlation_fused sees the fused exchange
+        alerts = getattr(correlate, plan.exchange)(alerts, rules)
+    return alerts
 
 
 def _drop_noalert(alerts, rules: list[Rule]):

@@ -861,7 +861,7 @@ def q_wp_client_report(sf_dir):
     the stream max). Merges the track-clients.c liveness check and the
     client-stats.c counters into one distributed aggregate; only the
     per-host result (tiny) reaches the driver for the global-max flag."""
-    from ..stages.correlate import _n_buckets, shuffle_groups
+    from ..functions.exchange import _n_buckets, shuffle_groups
     from ..stages.dedup import _digest64
 
     ds = webpages_from_documents(sf_dir, include_html=False)

@@ -20,23 +20,33 @@ the parity oracle.
 
 Physical shape (scale notes):
 * Each gate family is a :class:`GatePlan` — bypass, tag and gate row
-  functions built once per rule set (:func:`fused_plan`,
-  :func:`correlation_plan`, :func:`xbits_plan`). Two physical plans run
-  the same row functions; only the exchange differs.
+  functions built once per rule set (:func:`correlation_plan`,
+  :func:`xbits_plan`); :func:`fused_plan` composes the two into one
+  plan. :func:`gate_plans` is the ONE plan list both physical plans
+  run: ``[fused]``, or ``[correlation, xbits]`` when a rule mixes the
+  families. Only the exchange differs between the physical plans.
 * The caller materializes/checkpoints the alert stream once before the
   correlation branches (alerts ≪ input) so the expensive match stage is
   never re-executed per branch, and picks the plan by the stream's
   size: a stream at or under Ray's ``target_max_block_size`` is gated
   in ONE task (:func:`gate_in_one_task`: one block holds every logical
   group whole, so there is no sort-shuffle and no union); a larger one
-  takes the tagged hash exchange (:func:`_shuffled`).
-* The exchange is ONE hash shuffle, keyed on
-  ``gb = hash(sid,ckey,bucket) % NB`` — logical groups are co-located
+  takes the tagged hash exchange (:func:`_shuffled`), once per plan.
+* The exchange is ONE hash shuffle per plan, keyed on
+  ``gb = hash(logical group key) % NB`` — logical groups are co-located
   into NB coarse partitions and the gate runs vectorized per partition
   (no per-tiny-group Python call overhead).
+* The payload trim is the exchange's alone: the sid-constant columns
+  (msg, classification, priority, rev) ride no shuffle — they are
+  dropped before the tag and re-attached after the gate in the input's
+  column order and types (:func:`_trim_payload`). The one-task plan
+  keeps every column in place.
 * Hot-host skew: a batch-local pre-prune keeps at most C rows per
   (sid,key,bucket) per input batch for `limit` rules before the shuffle,
   so a host with 10^7 hits in one bucket ships O(C·num_batches) rows.
+
+The pandas reference twins of the gate kernels, which the tests compare
+the Arrow-native kernels against, live in ``tests/gate_oracle.py``.
 """
 
 from __future__ import annotations
@@ -48,56 +58,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.exchange import _n_buckets, shuffle_groups
 from ..rules import Rule
-
-def _n_buckets() -> int:
-    """Coarse co-location bucket count for the correlation exchange:
-    ~4 per core, floored at 64. At 32 cpus this gives 128, measured
-    equal to the old fixed 512 (within run noise); the point is the
-    CLUSTER direction — a fixed 512 would cap the gate at 512 parallel
-    units on a 256-node run, while 4x cores keeps every core fed."""
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 16)) if ray.is_initialized() else 16
-    return max(64, 4 * cpus)
-
-
-def shuffle_groups(ds, key: str, fn, batch_format: str = "pandas"):
-    """Co-locate logical groups by ``key`` and run ``fn`` once per
-    partition frame (``groupby(key).map_groups``).
-
-    Single seam for every coarse-bucket exchange in this repo. Every
-    ``fn`` passed here re-groups by its LOGICAL key internally, so
-    receiving several buckets in one frame is part of the contract —
-    which is what lets the bucket count stay coarse. Measured
-    alternative: Ray 2.49's hash-shuffle ``repartition(keys=...)`` +
-    whole-block map_batches runs 4-6x SLOWER here (29-44 s vs 7.9 s on
-    the 32 M-row fused gate; its aggregator-actor exchange is built for
-    much larger payloads), so the sort-based groupby stays.
-
-    ``batch_format="pyarrow"`` hands ``fn`` zero-copy Arrow tables —
-    the hot-partition choice: a 460k-row bucket with ~10 string columns
-    costs seconds just materializing Python objects for a pandas frame
-    (measured: the fused gate's straggler task spent 4.2 s in the
-    round-trip and 0.4 s in the actual gate math)."""
-    return ds.groupby(key).map_groups(fn, batch_format=batch_format)
-
-
-def reduceat_sum(keys: "np.ndarray", counts: "np.ndarray"):
-    """(unique key, summed count) over UNSORTED partials — one argsort +
-    ``np.add.reduceat``. The shared per-partition reduce for every
-    high-cardinality count in the repo (duplicate grams, frequent
-    lines, LM vocab, cap-threshold partials): Ray's
-    ``groupby().aggregate`` builds per-group Python reduce state, which
-    at corpus-cardinality keys IS the job (SCALE.md: 11M keys = 1400
-    CPU-seconds vs ~2 s for this)."""
-    order = np.argsort(keys, kind="stable")
-    ks, cs = keys[order], counts[order]
-    first = np.ones(len(ks), dtype=bool)
-    first[1:] = ks[1:] != ks[:-1]
-    starts = np.flatnonzero(first)
-    sums = np.add.reduceat(cs, starts) if len(starts) else cs[:0]
-    return ks[starts], sums
 
 
 def _track_col(track: str) -> str:
@@ -204,32 +166,14 @@ def _attach_keys(batch: pa.Table, specs: dict[int, dict]) -> pa.Table:
 
 
 def _gb_hash(nb: np.uint64, *cols) -> pa.Array:
-    """Coarse co-location key from raw arrays (Arrow-branch twin of
-    :func:`_attach_gb`): vectorized siphash chain, % nb. Only controls
-    WHICH partition a logical group lands in — consistency within a run
-    is the only requirement."""
-    h = pd.util.hash_array(np.asarray(cols[0], dtype=object))
-    for c in cols[1:]:
-        h = h * np.uint64(31) + pd.util.hash_array(
-            np.asarray(c) if not isinstance(c, np.ndarray) else c
-        )
+    """Coarse co-location key of a logical group key's columns (string
+    columns as object arrays): vectorized siphash chain, % nb. Only
+    controls WHICH partition a logical group lands in — consistency
+    within a run is the only requirement."""
+    h = np.zeros(len(cols[0]), dtype=np.uint64)
+    for c in cols:
+        h = h * np.uint64(31) + pd.util.hash_array(np.asarray(c))
     return pa.array((h % nb).astype(np.int64))
-
-
-def _attach_gb(pdf: pd.DataFrame, cols: list[str],
-               nb: int | None = None) -> pd.DataFrame:
-    """Coarse co-location key: hash of the logical group key.
-
-    Vectorized (pandas siphash). The gb value only controls WHICH
-    partition a logical group lands in, never the output rows, so it
-    needs to be consistent within a run, not across library versions."""
-    h = pd.util.hash_pandas_object(pdf[cols[0]], index=False).to_numpy()
-    for c in cols[1:]:
-        h = h * np.uint64(31) + pd.util.hash_pandas_object(
-            pdf[c], index=False
-        ).to_numpy()
-    pdf["gb"] = (h % np.uint64(nb or _n_buckets())).astype(np.int64)
-    return pdf
 
 
 def _preprune_mask(kdf: pd.DataFrame, specs: dict[int, dict]) -> np.ndarray:
@@ -264,53 +208,24 @@ def _preprune_mask(kdf: pd.DataFrame, specs: dict[int, dict]) -> np.ndarray:
     return keep
 
 
-def _preprune_limit(batch: pd.DataFrame, specs: dict[int, dict]) -> pd.DataFrame:
-    """Batch-local skew guard: for `limit` rules keep only the C earliest
-    rows per (sid, ckey, bucket) within this batch — a superset of the
-    final winners (monotone prefix property of row_number<=C)."""
-    limit_sids = {
-        s
-        for s, sp in specs.items()
-        if sp["kind"] == "threshold" and sp["ttype"] == "limit"
-    }
-    if not limit_sids or batch.empty:
-        return batch
-    mask = batch["sid"].isin(limit_sids)
-    if not mask.any():
-        return batch
-    sub = batch[mask].sort_values(["warc_ts", "url"], kind="mergesort")
-    counts = {s: sp["count"] for s, sp in specs.items() if s in limit_sids}
-    rn = sub.groupby(["sid", "ckey", "bucket"], sort=False).cumcount()
-    keep_sub = sub[rn < sub["sid"].map(counts)]
-    return pd.concat([batch[~mask], keep_sub], ignore_index=True)
-
-
-def _gate_partition(g: pd.DataFrame, specs: dict[int, dict]) -> pd.DataFrame:
-    """Vectorized gate over one co-location partition (many logical
-    groups in one frame).
-
-    Hot-partition path: a pandas ``sort_values`` over the string keys
-    (ckey, url) costs ~10 s per 1.5 M-row partition (object-dtype
-    comparisons); instead the logical key is FACTORIZED to ints, the
-    sort is an integer ``np.lexsort`` on (sid, ckey_code, bucket, ts),
-    and the lexicographic ``url`` tie-break — which the oracle's
-    ``ORDER BY warc_ts, url`` requires — is applied only INSIDE
-    (group, ts) tie runs (measured ~10 s → ~0.6 s on the same frame).
-    Group identity needs grouping, not ordering, so appearance-order
-    factorize codes are safe; within-group order is (ts, url) exactly.
-    """
-    if g.empty:
-        return g.drop(columns=["gb"], errors="ignore")
-    idx = _gate_order_keep(
-        g["sid"].to_numpy(dtype=np.int64),
-        pd.factorize(g["ckey"], sort=False)[0],
-        g["bucket"].to_numpy(dtype=np.int64),
-        g["warc_ts"].to_numpy(dtype="datetime64[us]"),
-        lambda rows: g["url"].to_numpy(dtype=object)[rows],
-        specs,
-    )
-    out = g.iloc[idx]
-    return out.drop(columns=["gb"], errors="ignore")
+def _url_tiebreak(order: np.ndarray, new_run: np.ndarray, get_urls) -> None:
+    """Sort ``order`` by url, in place, inside each run of tied sort keys
+    (``new_run`` marks the first row of a run): the lexicographic url
+    tie-break, paid only where keys tie. Every key is equal inside a
+    run, so arrays gathered by ``order`` before the call stay valid."""
+    run_starts = np.flatnonzero(new_run)
+    run_ends = np.r_[run_starts[1:], len(order)]
+    long_runs = np.flatnonzero(run_ends - run_starts > 1)
+    if not len(long_runs):
+        return
+    urls = get_urls(np.concatenate([order[run_starts[ri]:run_ends[ri]]
+                                    for ri in long_runs]))
+    off = 0
+    for ri in long_runs:
+        s0, e0 = run_starts[ri], run_ends[ri]
+        order[s0:e0] = order[s0:e0][np.argsort(urls[off:off + e0 - s0],
+                                               kind="stable")]
+        off += e0 - s0
 
 
 def _gate_order_keep(sid_np: np.ndarray, ckey_codes: np.ndarray,
@@ -330,21 +245,7 @@ def _gate_order_keep(sid_np: np.ndarray, ckey_codes: np.ndarray,
     ss, cc, bb, tt = sid_np[order], ckey_codes[order], bucket[order], ts[order]
     new_grp = np.r_[True, (ss[1:] != ss[:-1]) | (cc[1:] != cc[:-1]) | (bb[1:] != bb[:-1])]
     # url tie-break inside equal-(group, ts) runs only
-    new_run = new_grp | np.r_[True, tt[1:] != tt[:-1]]
-    run_starts = np.flatnonzero(new_run)
-    run_ends = np.r_[run_starts[1:], n]
-    long_runs = np.flatnonzero(run_ends - run_starts > 1)
-    if len(long_runs):
-        need = np.concatenate([order[run_starts[ri]:run_ends[ri]]
-                               for ri in long_runs])
-        urls = get_urls(need)
-        off = 0
-        for ri in long_runs:
-            s0, e0 = run_starts[ri], run_ends[ri]
-            m = e0 - s0
-            sl = order[s0:e0]
-            order[s0:e0] = sl[np.argsort(urls[off:off + m], kind="stable")]
-            off += m
+    _url_tiebreak(order, new_grp | np.r_[True, tt[1:] != tt[:-1]], get_urls)
     grp_start_pos = np.flatnonzero(new_grp)
     grp_sizes = np.diff(np.r_[grp_start_pos, n])
     rn = np.arange(n, dtype=np.int64) - np.repeat(grp_start_pos, grp_sizes)
@@ -401,7 +302,8 @@ def _take_urls(t: pa.Table):
 
 
 def _gate_partition_pa(t: pa.Table, specs: dict[int, dict]) -> pa.Table:
-    """Arrow-native twin of :func:`_gate_partition`: same gate core,
+    """Arrow-native threshold/after gate (twin of the pandas
+    ``_gate_partition`` in ``tests/gate_oracle.py``): same gate core,
     but the kept rows come back via ``Table.take`` — no Python string
     objects are created except the tie-break urls."""
     if t.num_rows == 0:
@@ -425,17 +327,62 @@ class GatePlan(NamedTuple):
     ``tag`` emits the rows that must, each carrying a ``gb`` co-location
     column; ``gate`` decides any frame of WHOLE logical groups (one
     exchange partition, or the entire stream) and returns routable rows
-    without the helper columns."""
+    without the helper columns. ``exchange`` names the public function
+    of this module that runs the plan through the tagged exchange."""
 
     bypass: Callable[[pa.Table], pa.Table]
     tag: Callable[[pa.Table], pa.Table]
     gate: Callable[[pa.Table], pa.Table]
+    exchange: str
 
 
-def _shuffled(alerts_ds, plan: GatePlan):
+# helper columns each family's tag adds next to ``gb``
+_CORR_KEYS = ["ckey", "bucket"]
+_XBIT_KEYS = ["xname", "xaction", "xkey", "xexpire"]
+
+# alert columns that are pure functions of sid (rule metadata) -> the
+# Rule attribute that holds them
+_SID_CONST = {"msg": "msg", "classification": "classtype",
+              "priority": "priority", "rev": "rev"}
+
+
+def _trim_payload(plan: GatePlan, rules: list[Rule],
+                  types: dict[str, pa.DataType]) -> GatePlan:
+    """``plan`` with the sid-constant columns dropped before its tag and
+    re-attached after its gate, from the rules, with the input's
+    ``types`` (column name -> type, in the input's column order) — less
+    payload per shuffled row, the same routed rows."""
+    by_sid = {r.sid: r for r in rules}
+    sids = np.array(sorted(by_sid), dtype=np.int64)
+    # an all-null (`null`-typed) column, as in an empty stream, has no
+    # values to re-attach and rides along
+    consts = {c: pa.array([getattr(by_sid[s], attr) for s in sids], type=types[c])
+              for c, attr in _SID_CONST.items()
+              if c in types and not pa.types.is_null(types[c])}
+    names = list(types)
+
+    def tag(batch: pa.Table) -> pa.Table:
+        return plan.tag(batch.drop_columns(list(consts)))
+
+    def gate(g: pa.Table) -> pa.Table:
+        out = plan.gate(g)
+        idx = pa.array(np.searchsorted(sids, _np_col(out, "sid", np.int64)))
+        for c, vals in consts.items():
+            out = out.append_column(c, vals.take(idx))
+        return out.select(names)
+
+    return plan._replace(tag=tag, gate=gate)
+
+
+def _shuffled(alerts_ds, plan: GatePlan, rules: list[Rule]):
     """Tagged hash exchange: bypass rows stream past it, tagged rows meet
-    their group in one ``gb`` partition. The input is consumed by both
+    their group in one ``gb`` partition, carrying no sid-constant
+    columns (:func:`_trim_payload`). The input is consumed by both
     branches — materialize it first."""
+    schema = alerts_ds.schema()
+    if schema is None:  # no blocks, nothing to gate
+        return alerts_ds
+    plan = _trim_payload(plan, rules, dict(zip(schema.names, schema.types)))
     plain = alerts_ds.map_batches(plan.bypass, batch_format="pyarrow")
     tagged = alerts_ds.map_batches(plan.tag, batch_format="pyarrow")
     gated = shuffle_groups(tagged, "gb", plan.gate, batch_format="pyarrow")
@@ -449,23 +396,20 @@ def correlation_plan(rules: list[Rule]) -> GatePlan | None:
     if not specs:
         return None
     corr_sids = pa.array(list(specs.keys()), type=pa.int64())
+    # modulus captured ONCE at plan build: every task must use the SAME
+    # modulus within a run — a mid-run autoscale would otherwise split
+    # one logical group across two partitions and double a limit-rule's
+    # budget
+    nb = np.uint64(_n_buckets())
 
-    def split_plain(batch: pa.Table) -> pa.Table:
+    def bypass(batch: pa.Table) -> pa.Table:
         return batch.filter(
             pc.invert(pc.is_in(batch["sid"], value_set=corr_sids).combine_chunks())
         )
 
-    # modulus captured ONCE at plan build (the fused path's invariant:
-    # every task must use the SAME modulus within a run — a mid-run
-    # autoscale would otherwise split one logical group across two
-    # partitions and double a limit-rule's budget)
-    nb_run = _n_buckets()
-
-    def split_corr(batch: pa.Table) -> pa.Table:
+    def tag(batch: pa.Table) -> pa.Table:
         # Arrow-native: wide columns (text/url) never round-trip through
-        # pandas pre-shuffle — only the KEY frame does (the fused path's
-        # explode_safe pattern; the old full-payload to_pandas cost
-        # seconds per hot block just materializing strings)
+        # pandas — only the key frame does, for the pre-prune and gb
         sub = batch.filter(pc.is_in(batch["sid"], value_set=corr_sids))
         sub = _attach_keys(sub, specs)
         kdf = sub.select(["sid", "ckey", "bucket", "warc_ts",
@@ -474,14 +418,13 @@ def correlation_plan(rules: list[Rule]) -> GatePlan | None:
         if not keep.all():
             sub = sub.filter(pa.array(keep))
             kdf = kdf[keep]
-        kdf = _attach_gb(kdf, ["sid", "ckey", "bucket"], nb=nb_run)
         return sub.append_column(
-            "gb", pa.array(kdf["gb"].to_numpy(dtype=np.int64)))
+            "gb", _gb_hash(nb, kdf["ckey"], kdf["sid"], kdf["bucket"]))
 
     def gate(g: pa.Table) -> pa.Table:
-        return _gate_partition_pa(g, specs).drop_columns(["ckey", "bucket", "gb"])
+        return _gate_partition_pa(g, specs).drop_columns(_CORR_KEYS + ["gb"])
 
-    return GatePlan(split_plain, split_corr, gate)
+    return GatePlan(bypass, tag, gate, "apply_correlation")
 
 
 def apply_correlation(alerts_ds, rules: list[Rule]):
@@ -490,221 +433,7 @@ def apply_correlation(alerts_ds, rules: list[Rule]):
     shuffle. The input is consumed by two branches — materialize or
     checkpoint it first (the pipeline helpers do)."""
     plan = correlation_plan(rules)
-    return alerts_ds if plan is None else _shuffled(alerts_ds, plan)
-
-
-# ---------------------------------------------------------------------------
-# fused correlation + xbits: ONE tagged shuffle
-# ---------------------------------------------------------------------------
-
-
-def can_fuse(rules: list[Rule]) -> bool:
-    """Fusable when no rule needs BOTH a threshold/after gate and an
-    xbits test (sequential semantics); true for typical rule sets."""
-    return not any((r.threshold or r.after) and r.xbits for r in rules)
-
-
-def fused_plan(rules: list[Rule]) -> GatePlan | None:
-    """Correlation and xbits in one gate: each alert row is tagged
-    `plain` (bypasses the exchange), `corr` (threshold/after gating) or
-    `xbit` (exploded per xbit option); corr+xbit rows share one
-    co-location key and are gated/resolved together. None when no rule
-    correlates or carries xbits."""
-    specs = corr_specs(rules)
-    xspecs = xbit_specs(rules)
-    if not specs and not xspecs:
-        return None
-    assert can_fuse(rules), "rule with both threshold/after and xbits: use two-phase"
-    by_sid = {r.sid: r for r in rules}
-    corr_sids = pa.array(list(specs.keys()), type=pa.int64())
-    test_sids = {
-        s for s, xbs in xspecs.items()
-        if any(x.action in ("isset", "isnotset") for x in xbs)
-    }
-    noalert_sids = {s for s, xbs in xspecs.items() if by_sid[s].noalert}
-    noalert_arr = pa.array(sorted(noalert_sids), type=pa.int64())
-    # rows that route WITHOUT shuffling: not correlated, and either no
-    # xbits at all or xbits that only set/unset (and not noalert)
-    bypass_keep = pa.array(
-        [
-            r.sid
-            for r in rules
-            if r.sid not in specs
-            and (r.sid not in xspecs
-                 or (r.sid not in test_sids and r.sid not in noalert_sids))
-        ],
-        type=pa.int64(),
-    )
-
-    def bypass(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.is_in(batch["sid"], value_set=bypass_keep))
-
-    nb = np.uint64(_n_buckets())  # captured once at plan build — every
-    # task must use the SAME modulus within a run
-
-    def _hash_gb_arrays(*cols) -> pa.Array:
-        return _gb_hash(nb, *cols)
-
-    def _const(n: int, val, typ) -> pa.Array:
-        if typ == "str":
-            return pa.array([val] * n, type=pa.string())
-        return pa.array(np.full(n, val, dtype=np.int64))
-
-    helper_order = ["ckey", "bucket", "xname", "xaction", "xkey", "xexpire",
-                    "kind", "gb"]
-
-    # sid-constant columns never ride the exchange: msg / classification
-    # / priority / rev are pure functions of sid (rule metadata), so the
-    # tagged branch drops them pre-shuffle and re-attaches post-gate
-    # from a broadcast sid-indexed map — less payload per shuffled row.
-    _SID_CONST = ("msg", "classification", "priority", "rev")
-    _sid_arr = np.array(sorted(by_sid), dtype=np.int64)
-    _const_vals = {
-        "msg": np.array([by_sid[s].msg for s in _sid_arr], dtype=object),
-        "classification": np.array(
-            [by_sid[s].classtype for s in _sid_arr], dtype=object
-        ),
-        "priority": np.array([by_sid[s].priority for s in _sid_arr],
-                             dtype=np.int64),
-        "rev": np.array([by_sid[s].rev for s in _sid_arr], dtype=np.int64),
-    }
-    def explode_safe(batch: pa.Table) -> pa.Table:
-        """Arrow-native tagged explode: wide columns (text/url) never
-        round-trip through pandas pre-shuffle; key-only pandas frames
-        drive the pre-prune mask and gb hashes."""
-        parts: list[pa.Table] = []
-        base_names = [c for c in batch.column_names if c not in _SID_CONST]
-        csub = batch.filter(pc.is_in(batch["sid"], value_set=corr_sids))
-        if csub.num_rows:
-            csub = _attach_keys(csub, specs)
-            kdf = csub.select(["sid", "ckey", "bucket", "warc_ts", "url"]).to_pandas()
-            keep = _preprune_mask(kdf, specs)
-            if not keep.all():
-                csub = csub.filter(pa.array(keep))
-                kdf = kdf[keep]
-            m = csub.num_rows
-            csub = (
-                csub.append_column("xname", _const(m, "", "str"))
-                .append_column("xaction", _const(m, "", "str"))
-                .append_column("xkey", _const(m, "", "str"))
-                .append_column("xexpire", _const(m, -1, "int"))
-                .append_column("kind", _const(m, "corr", "str"))
-                .append_column(
-                    "gb",
-                    _hash_gb_arrays(
-                        kdf["sid"].astype(str).to_numpy(dtype=object),
-                        pd.util.hash_array(kdf["ckey"].to_numpy(dtype=object)),
-                        kdf["bucket"].to_numpy(),
-                    )
-                    if m
-                    else pa.array([], type=pa.int64()),
-                )
-            )
-            parts.append(csub.select(base_names + helper_order))
-        for s, xbs in xspecs.items():
-            rsub = batch.filter(pc.equal(batch["sid"], s))
-            if rsub.num_rows == 0:
-                continue
-            m = rsub.num_rows
-            for xb in xbs:
-                xc = _track_col(xb.track)
-                if xc == "ip_pair":
-                    xkey_col = _pair_key_pa(rsub)
-                elif xc in rsub.column_names:
-                    xkey_col = pc.fill_null(rsub[xc], "")
-                else:
-                    # missing track column keys to '' (one group) — see
-                    # explode_xbit; keeps the two engines in agreement
-                    xkey_col = _const(m, "", "str")
-                t2 = (
-                    rsub.append_column("ckey", _const(m, "", "str"))
-                    .append_column("bucket", _const(m, -1, "int"))
-                    .append_column("xname", _const(m, xb.name, "str"))
-                    .append_column("xaction", _const(m, xb.action, "str"))
-                    .append_column("xkey", xkey_col)
-                    .append_column(
-                        "xexpire",
-                        _const(m, xb.expire if xb.expire is not None else -1, "int"),
-                    )
-                    .append_column("kind", _const(m, "xbit", "str"))
-                )
-                xk = np.asarray(xkey_col.to_pandas(), dtype=object)
-                names = np.full(m, xb.name, dtype=object)
-                t2 = t2.append_column("gb", _hash_gb_arrays(names, pd.util.hash_array(xk)))
-                parts.append(t2.select(base_names + helper_order))
-        if not parts:
-            empty = batch.slice(0, 0)
-            for cname in ["ckey", "xname", "xaction", "xkey", "kind"]:
-                empty = empty.append_column(cname, pa.array([], type=pa.string()))
-            for cname in ["bucket", "xexpire", "gb"]:
-                empty = empty.append_column(cname, pa.array([], type=pa.int64()))
-            return empty.select(base_names + helper_order)
-        return pa.concat_tables(parts)
-
-    helper_cols = ["ckey", "bucket", "xname", "xaction", "xkey", "xexpire", "kind"]
-
-    def gate_and_resolve(g: pa.Table) -> pa.Table:
-        outs = []
-        corr_rows = g.filter(pc.equal(g["kind"], "corr"))
-        if corr_rows.num_rows:
-            outs.append(_gate_partition_pa(corr_rows, specs))
-        xb_rows = g.filter(pc.equal(g["kind"], "xbit"))
-        if xb_rows.num_rows:
-            # set/unset rows contribute state inside the resolver; only
-            # isset/isnotset keeps are emitted. Set-only rules' own
-            # routing happens on the bypass branch (no duplicates).
-            res = _resolve_partition_pa(xb_rows)
-            if len(noalert_arr) and res.num_rows:
-                # noalert TEST rules evaluate (state consumed) but never
-                # route — flagship.py's documented contract
-                res = res.filter(pc.invert(pc.is_in(
-                    res["sid"], value_set=noalert_arr).combine_chunks()))
-            outs.append(res)
-        out = pa.concat_tables(outs) if outs else g.slice(0, 0)
-        return out.drop_columns(
-            [c for c in helper_cols + ["gb"] if c in out.column_names]
-        )
-
-    _CANON = ["url", "warc_ts", "host", "lang", "text", "sid", "rev",
-              "msg", "classification", "priority", "src_ip", "dst_ip",
-              "src_port", "hash_value", "extracted", "proto", "part_id",
-              "country", "blacklisted", "intel_hit"]
-
-    def reattach(t: pa.Table) -> pa.Table:
-        """Re-attach the sid-constant columns dropped pre-shuffle and
-        restore the canonical column order + types (matching the bypass
-        branch block-for-block)."""
-        from .route import normalize_alerts
-
-        sidv = t["sid"]
-        sid = np.asarray(
-            sidv.combine_chunks() if isinstance(sidv, pa.ChunkedArray) else sidv,
-            dtype=np.int64,
-        )
-        idx = np.searchsorted(_sid_arr, sid)
-        for name in _SID_CONST:
-            vals = _const_vals[name][idx]
-            typ = pa.string() if name in ("msg", "classification") else pa.int64()
-            t = t.append_column(name, pa.array(vals.tolist(), type=typ))
-        cols = t.column_names
-        order = [c for c in _CANON if c in cols] + [c for c in cols if c not in _CANON]
-        return normalize_alerts(t.select(order))
-
-    def gate(g: pa.Table) -> pa.Table:
-        return reattach(gate_and_resolve(g))
-
-    return GatePlan(bypass, explode_safe, gate)
-
-
-def apply_correlation_fused(alerts_ds, rules: list[Rule]):
-    """Single-shuffle correlation (:func:`fused_plan` through the tagged
-    exchange). Replaces apply_correlation→apply_xbits (2 shuffles, ~5
-    branch scans) with 1 shuffle + 2 scans — the fixed-overhead
-    reduction that makes small-cluster → big-cluster scaling efficient.
-
-    Input must be materialized (it is consumed twice)."""
-    plan = fused_plan(rules)
-    return alerts_ds if plan is None else _shuffled(alerts_ds, plan)
+    return alerts_ds if plan is None else _shuffled(alerts_ds, plan, rules)
 
 
 # ---------------------------------------------------------------------------
@@ -716,69 +445,12 @@ def xbit_specs(rules: list[Rule]) -> dict[int, list]:
     return {r.sid: list(r.xbits) for r in rules if r.xbits}
 
 
-def _resolve_partition(g: pd.DataFrame) -> pd.DataFrame:
-    """Vectorized xbits state machine over one co-location partition.
-
-    Within each (xname, xkey), rows sorted by (ts, action-order, url)
-    with set/unset before tests at equal ts. A test row keeps iff the
-    most recent `set` is active: set_ts <= ts (< set_ts + expire) and no
-    later `unset`. Equal-expire windows make most-recent-set equivalent
-    to any-active-set (monotone windows)."""
-    if g.empty:
-        return g
-    # null xkeys would be silently EXCLUDED by the keyed-Series groupby
-    # ffills below (dropna), losing their state and diverging from the
-    # Arrow twin (which groups null codes); '' matches both engines
-    g = g.assign(xkey=g["xkey"].fillna(""))
-    order = {"set": 0, "unset": 1, "isset": 2, "isnotset": 3}
-    g = g.assign(_ord=g["xaction"].map(order))
-    g = g.sort_values(["xname", "xkey", "warc_ts", "_ord", "url"], kind="mergesort")
-    # resolution-proof µs epoch (pandas may carry ns OR us datetime64);
-    # NaT would cast to int64-min — pin to max to match the NULLS-LAST
-    # ordering sort_values just applied
-    _ts_dt = g["warc_ts"].to_numpy(dtype="datetime64[us]")
-    _ts_i = _ts_dt.astype(np.int64)
-    _ts_i[np.isnat(_ts_dt)] = np.iinfo(np.int64).max
-    ts = pd.Series(_ts_i, index=g.index)
-    keys = g[["xname", "xkey"]]
-
-    is_set = (g["xaction"] == "set").to_numpy()
-    is_unset = (g["xaction"] == "unset").to_numpy()
-    set_ts = pd.Series(np.where(is_set, ts, np.nan), index=g.index)
-    unset_ts = pd.Series(np.where(is_unset, ts, np.nan), index=g.index)
-    last_set = set_ts.groupby([keys["xname"], keys["xkey"]], sort=False).ffill()
-    last_unset = unset_ts.groupby([keys["xname"], keys["xkey"]], sort=False).ffill()
-    exp = g["xexpire"].astype("int64").to_numpy()
-    # expire comes from the SET row; propagate set-row expire forward
-    set_exp = pd.Series(np.where(is_set, exp.astype(float), np.nan), index=g.index)
-    last_exp = set_exp.groupby([keys["xname"], keys["xkey"]], sort=False).ffill()
-    active_until = np.where(
-        np.isnan(last_set.to_numpy()),
-        -np.inf,
-        np.where(
-            last_exp.to_numpy() >= 0,
-            last_set.to_numpy() + last_exp.to_numpy() * 1_000_000,
-            np.inf,
-        ),
-    )
-    cleared = (~np.isnan(last_unset.to_numpy())) & (
-        last_unset.to_numpy() >= last_set.to_numpy()
-    )
-    active = (
-        (~np.isnan(last_set.to_numpy()))
-        & (ts.to_numpy() < active_until)
-        & (~cleared)
-    )
-    act = g["xaction"].to_numpy()
-    keep = np.where(act == "isset", active, np.where(act == "isnotset", ~active, False))
-    return g[keep].drop(columns=["_ord"])
-
-
 _XB_ORD = {"set": 0, "unset": 1, "isset": 2, "isnotset": 3}
 
 
 def _resolve_partition_pa(t: pa.Table) -> pa.Table:
-    """Arrow-native twin of :func:`_resolve_partition` (same state
+    """Arrow-native xbits resolver (twin of the pandas
+    ``_resolve_partition`` in ``tests/gate_oracle.py``: same state
     machine, differential-tested): per-(xname, xkey) forward-fill is a
     segment cummax over row indices instead of a pandas groupby ffill,
     and kept rows come back via ``Table.take`` — no object columns are
@@ -804,24 +476,10 @@ def _resolve_partition_pa(t: pa.Table) -> pa.Table:
     new_grp = np.r_[True, (sxn[1:] != sxn[:-1]) | (sxk[1:] != sxk[:-1])]
     # url tie-break inside fully-equal (group, ts, action) runs — the
     # pandas twin's 5th mergesort key
-    new_run = new_grp | np.r_[True, (sts[1:] != sts[:-1]) | (sord[1:] != sord[:-1])]
-    run_starts = np.flatnonzero(new_run)
-    run_ends = np.r_[run_starts[1:], n]
-    long_runs = np.flatnonzero(run_ends - run_starts > 1)
-    if len(long_runs):
-        get_urls = _take_urls(t)
-        need = np.concatenate([order[run_starts[ri]:run_ends[ri]]
-                               for ri in long_runs])
-        urls = get_urls(need)
-        off = 0
-        for ri in long_runs:
-            s0, e0 = run_starts[ri], run_ends[ri]
-            m = e0 - s0
-            sl = order[s0:e0]
-            order[s0:e0] = sl[np.argsort(urls[off:off + m], kind="stable")]
-            off += m
-        sts = ts[order]
-        sord = ordv[order]
+    _url_tiebreak(
+        order,
+        new_grp | np.r_[True, (sts[1:] != sts[:-1]) | (sord[1:] != sord[:-1])],
+        _take_urls(t))
     grp_start = np.repeat(np.flatnonzero(new_grp),
                           np.diff(np.r_[np.flatnonzero(new_grp), n]))
     idxs = np.arange(n, dtype=np.int64)
@@ -863,81 +521,60 @@ def xbits_plan(rules: list[Rule]) -> GatePlan | None:
     test_sids = {
         s for s, xbs in specs.items() if any(x.action in ("isset", "isnotset") for x in xbs)
     }
-    noalert_sids = {s for s, xbs in specs.items() if by_sid[s].noalert}
+    noalert_sids = {s for s in specs if by_sid[s].noalert}
     # every xbit sid that does NOT route its own row: test rules route
     # only the resolver's keeps, noalert rules never route
     held = pa.array(sorted(test_sids | noalert_sids), type=pa.int64())
     noalert_arr = pa.array(sorted(noalert_sids), type=pa.int64())
-    # same plan-build modulus capture as the fused/correlation plans
-    nb_u64 = np.uint64(_n_buckets())
+    # same plan-build modulus capture as the correlation plan
+    nb = np.uint64(_n_buckets())
 
     def bypass(batch: pa.Table) -> pa.Table:
         return batch.filter(
             pc.invert(pc.is_in(batch["sid"], value_set=held).combine_chunks())
         )
 
-    def explode_xbit(batch: pa.Table) -> pa.Table:
+    def tag(batch: pa.Table) -> pa.Table:
         """One row per (alert row, xbit option) — Arrow-native per sid:
-        wide columns never round-trip through pandas (the fused path's
-        explode_safe xbit loop; only the key-sized xkey array does, for
-        the gb hash)."""
+        wide columns never round-trip through pandas (only the key-sized
+        xkey array does, for the gb hash)."""
         parts: list[pa.Table] = []
         for s, xbs in specs.items():
             rsub = batch.filter(pc.equal(batch["sid"], s))
             m = rsub.num_rows
-            if m == 0:
-                continue
             for xb in xbs:
                 xc = _track_col(xb.track)
                 if xc == "ip_pair":
                     xkey_col = _pair_key_pa(rsub)
                 elif xc in rsub.column_names:
-                    xkey_col = pc.fill_null(rsub[xc], "")
-                    if isinstance(xkey_col, pa.ChunkedArray):
-                        xkey_col = xkey_col.combine_chunks()
+                    xkey_col = pc.fill_null(rsub[xc], "").combine_chunks()
                 else:
                     # missing track column keys to '' (one group) — the
-                    # _track_col contract; the old host fallback made
-                    # this path disagree with the correlation family
+                    # _track_col contract, shared with the correlation
+                    # family
                     xkey_col = pa.array([""] * m, type=pa.string())
-                xk = np.asarray(xkey_col.to_pandas(), dtype=object)
                 names = np.full(m, xb.name, dtype=object)
-                t2 = (
-                    rsub.append_column(
-                        "xname", pa.array([xb.name] * m, type=pa.string()))
+                parts.append(
+                    rsub.append_column("xname", pa.array(names, type=pa.string()))
                     .append_column(
-                        "xaction",
-                        pa.array([xb.action] * m, type=pa.string()))
+                        "xaction", pa.array([xb.action] * m, type=pa.string()))
                     .append_column("xkey", xkey_col)
                     .append_column("xexpire", pa.array(np.full(
                         m, xb.expire if xb.expire is not None else -1,
                         dtype=np.int64)))
                     .append_column("gb", _gb_hash(
-                        nb_u64, names, pd.util.hash_array(xk)))
+                        nb, names, xkey_col.to_numpy(zero_copy_only=False)))
                 )
-                parts.append(t2)
-        if not parts:
-            empty = batch.slice(0, 0)
-            for cname in ("xname", "xaction", "xkey"):
-                empty = empty.append_column(
-                    cname, pa.array([], type=pa.string()))
-            for cname in ("xexpire", "gb"):
-                empty = empty.append_column(
-                    cname, pa.array([], type=pa.int64()))
-            return empty
         return pa.concat_tables(parts)
 
-    def resolve(g: pa.Table) -> pa.Table:
-        out = _resolve_partition_pa(g).drop_columns(
-            ["xname", "xaction", "xkey", "xexpire", "gb"])
-        if len(noalert_arr) and out.num_rows:
-            # noalert TEST rules evaluate (their state was consumed in
-            # the resolver) but never route
-            out = out.filter(pc.invert(pc.is_in(
-                out["sid"], value_set=noalert_arr).combine_chunks()))
-        return out
+    def gate(g: pa.Table) -> pa.Table:
+        out = _resolve_partition_pa(g).drop_columns(_XBIT_KEYS + ["gb"])
+        # noalert TEST rules evaluate (their state was consumed in the
+        # resolver) but never route
+        return out.filter(pc.invert(pc.is_in(
+            out["sid"], value_set=noalert_arr).combine_chunks()))
 
-    return GatePlan(bypass, explode_xbit, resolve)
+    return GatePlan(bypass, tag, gate, "apply_xbits")
 
 
 def apply_xbits(alerts_ds, rules: list[Rule]):
@@ -945,30 +582,83 @@ def apply_xbits(alerts_ds, rules: list[Rule]):
     The input Dataset is consumed by two branches — materialize or
     checkpoint it first (the pipeline helpers do)."""
     plan = xbits_plan(rules)
-    return alerts_ds if plan is None else _shuffled(alerts_ds, plan)
+    return alerts_ds if plan is None else _shuffled(alerts_ds, plan, rules)
 
 
-def gate_in_one_task(alerts_ds, rules: list[Rule]):
-    """Gate a stream small enough for ONE block in one task: the same
-    row functions as the exchange plans (:func:`fused_plan`, or
-    :func:`correlation_plan` then :func:`xbits_plan` when a rule mixes
-    both families), with every logical group already whole in the one
-    table — no sort-shuffle, no union, one output block."""
-    from .route import normalize_alerts
+# ---------------------------------------------------------------------------
+# fused correlation + xbits: ONE tagged shuffle
+# ---------------------------------------------------------------------------
 
+
+def can_fuse(rules: list[Rule]) -> bool:
+    """Fusable when no rule needs BOTH a threshold/after gate and an
+    xbits test (sequential semantics); true for typical rule sets."""
+    return not any((r.threshold or r.after) and r.xbits for r in rules)
+
+
+def fused_plan(rules: list[Rule]) -> GatePlan | None:
+    """Correlation and xbits in one gate, composed from
+    :func:`correlation_plan` and :func:`xbits_plan`: a row bypasses when
+    both families' bypasses keep it; the tag is both families' tagged
+    rows, each half null-filling the other's key columns; the gate
+    splits on ``xname`` being null and runs each family's own gate.
+    Valid only for a rule set that :func:`can_fuse`. None when no rule
+    correlates or carries xbits."""
+    corr, xb = correlation_plan(rules), xbits_plan(rules)
+    if corr is None or xb is None:
+        plan = corr or xb
+        return None if plan is None else plan._replace(
+            exchange="apply_correlation_fused")
+
+    def bypass(batch: pa.Table) -> pa.Table:
+        return xb.bypass(corr.bypass(batch))
+
+    def tag(batch: pa.Table) -> pa.Table:
+        return pa.concat_tables([corr.tag(batch), xb.tag(batch)],
+                                promote_options="default")
+
+    def gate(g: pa.Table) -> pa.Table:
+        is_xbit = pc.is_valid(g["xname"])
+        return pa.concat_tables([
+            corr.gate(g.filter(pc.invert(is_xbit)).drop_columns(_XBIT_KEYS)),
+            xb.gate(g.filter(is_xbit).drop_columns(_CORR_KEYS)),
+        ])
+
+    return GatePlan(bypass, tag, gate, "apply_correlation_fused")
+
+
+def apply_correlation_fused(alerts_ds, rules: list[Rule]):
+    """Single-shuffle correlation (:func:`fused_plan` through the tagged
+    exchange): 1 shuffle + 2 scans in place of
+    apply_correlation→apply_xbits (2 shuffles, ~5 branch scans).
+
+    Input must be materialized (it is consumed twice)."""
+    plan = fused_plan(rules)
+    return alerts_ds if plan is None else _shuffled(alerts_ds, plan, rules)
+
+
+def gate_plans(rules: list[Rule]) -> list[GatePlan]:
+    """The gate's plans in the order they run, for both physical plans:
+    ``[fused]``, or ``[correlation, xbits]`` when a rule mixes the
+    families (threshold first, then xbits). Empty when no rule
+    correlates or carries xbits."""
     if can_fuse(rules):
         plans = [fused_plan(rules)]
     else:
         plans = [correlation_plan(rules), xbits_plan(rules)]
-    plans = [p for p in plans if p is not None]
+    return [p for p in plans if p is not None]
+
+
+def gate_in_one_task(alerts_ds, rules: list[Rule]):
+    """Gate a stream small enough for ONE block in one task: the row
+    functions of :func:`gate_plans`, with every logical group already
+    whole in the one table — no sort-shuffle, no union, one output
+    block. Every column stays in place and keeps its type."""
+    plans = gate_plans(rules)
 
     def gate_all(t: pa.Table) -> pa.Table:
         for plan in plans:
-            # the fused gate emits the canonical column order and types;
-            # align both halves before concatenating
-            bypassed = normalize_alerts(plan.bypass(t))
-            gated = normalize_alerts(plan.gate(plan.tag(t)))
-            t = pa.concat_tables([bypassed, gated.select(bypassed.column_names)])
+            t = pa.concat_tables([plan.bypass(t), plan.gate(plan.tag(t))])
         return t
 
     return alerts_ds.repartition(1).map_batches(

@@ -90,7 +90,7 @@ def grouped_min_count(ds, key_col: str, id_col: str, min_name: str,
     content; see SCALE.md). Shape: project (key, id, gb=h(key)%nb),
     ONE coarse-bucket exchange, per-partition lexsort + run-length
     min/count."""
-    from .correlate import _n_buckets, shuffle_groups
+    from ..functions.exchange import _n_buckets, shuffle_groups
 
     nb = np.uint64(_n_buckets())
 
@@ -208,7 +208,7 @@ def dedup_against(ds, ref, text_col: str = "text",
 
     if mode != "join":
         raise ValueError(f"unknown mode {mode!r}")
-    from .correlate import _n_buckets, shuffle_groups
+    from ..functions.exchange import _n_buckets, shuffle_groups
 
     nb = np.uint64(_n_buckets())
 
@@ -1246,7 +1246,7 @@ def dedup_clusters(pairs, id_a: str = "doc_id_a", id_b: str = "doc_id_b",
     sizes below ~10^8 rows (measured 110 s -> 17.4 s on a 220k-node /
     360k-edge planted graph, labels exact vs union-find).
     """
-    from .correlate import shuffle_groups
+    from ..functions.exchange import shuffle_groups
 
     nb = _cc_buckets()
 
@@ -1382,7 +1382,7 @@ def semdedup_losers(ds, vec_col: str = "vec", id_col: str = "id",
     """
     import ray
 
-    from .correlate import _n_buckets, shuffle_groups
+    from ..functions.exchange import _n_buckets, shuffle_groups
     from .similarity import _unit, kmeans_fit
 
     knuth = np.uint64(2654435761)

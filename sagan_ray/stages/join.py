@@ -21,7 +21,7 @@ are nullable only where genuinely unmatched — the right side's under
 Partitioning assumption (same as every hash join): all rows of one join
 key land in one partition — a single pathological hot key can skew a
 partition; salt or pre-aggregate it upstream. Bucket count follows
-``correlate._n_buckets()`` (data-sized, floor 2/cpu).
+``functions.exchange._n_buckets()`` (data-sized, floor 2/cpu).
 """
 from __future__ import annotations
 

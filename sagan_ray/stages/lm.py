@@ -69,7 +69,7 @@ def train_unigram_lm(ds, text_col: str = "text", vocab_size: int = 1 << 16,
     """Two-pass distributed train: partial counts -> Sum groupby ->
     top-``vocab_size`` by (count desc, hash asc — deterministic ties).
     """
-    from .correlate import _n_buckets, shuffle_groups
+    from ..functions.exchange import _n_buckets, shuffle_groups
 
     nb = np.uint64(_n_buckets())
 
@@ -82,7 +82,7 @@ def train_unigram_lm(ds, text_col: str = "text", vocab_size: int = 1 << 16,
                          "gb": pa.array((h % nb).astype(np.int64))})
 
     def sum_fn(t: pa.Table) -> pa.Table:
-        from .correlate import reduceat_sum
+        from ..functions.exchange import reduceat_sum
 
         u, sums = reduceat_sum(t["h"].to_numpy(zero_copy_only=False),
                                t["c"].to_numpy(zero_copy_only=False))
@@ -317,7 +317,7 @@ def train_bigram_lm(ds, text_col: str = "text", vocab_size: int = 1 << 16,
     top-``bigram_size`` heads collect (bounded by construction). Same
     scale shape as :func:`train_unigram_lm` — the bigram table is just a
     second bounded head riding the same exchange."""
-    from .correlate import _n_buckets, shuffle_groups
+    from ..functions.exchange import _n_buckets, shuffle_groups
 
     nb = np.uint64(_n_buckets())
 
@@ -449,7 +449,7 @@ def train_doc_freq(ds, text_col: str = "text",
     ``ds.count()`` pass re-executing the input lineage. Head =
     top-``vocab_size`` by (df desc, hash asc); DF counting dedups
     within-doc repeats first (the frequent-line rule)."""
-    from .correlate import _n_buckets, shuffle_groups
+    from ..functions.exchange import _n_buckets, shuffle_groups
 
     nb = np.uint64(_n_buckets())
 

@@ -408,7 +408,7 @@ def cap_per_key_threshold(ds, key_col: str, cap: int, id_col: str = "doc_id",
     # Python state in the reduce — pathological at key cardinality);
     # block partials ride one coarse-bucket exchange and each partition
     # sums with factorize + bincount.
-    from .correlate import _n_buckets, shuffle_groups
+    from ..functions.exchange import _n_buckets, shuffle_groups
     from .dedup import _digest64
 
     # shuffle modulus captured ONCE at plan build: _n_buckets() reads
@@ -493,7 +493,7 @@ def cap_per_key_threshold(ds, key_col: str, cap: int, id_col: str = "doc_id",
                              "gb": pa.array(u % np.int64(nbk_shuffle))})
 
         def sum_fn(t: pa.Table) -> pa.Table:
-            from .correlate import reduceat_sum
+            from ..functions.exchange import reduceat_sum
 
             u, sums = reduceat_sum(t["g"].to_numpy(zero_copy_only=False),
                                    t["n"].to_numpy(zero_copy_only=False))
@@ -649,7 +649,7 @@ def cap_per_key(ds, key_col: str, cap: int, id_col: str = "doc_id",
     """
     import pyarrow.compute as _pc  # noqa: F401
 
-    from .correlate import shuffle_groups
+    from ..functions.exchange import shuffle_groups
     from .dedup import _digest64
 
     if cap < 1:

@@ -156,7 +156,7 @@ def duplicate_gram_hashes(ds, text_col: str = "text", k: int = 10,
     ``grams_col``: read pre-computed per-doc gram hashes from this
     ``large_list<int64>`` column instead of tokenizing ``text_col`` —
     the single-tokenize checkpoint path of mask_duplicate_spans."""
-    from .correlate import _n_buckets, shuffle_groups
+    from ..functions.exchange import _n_buckets, shuffle_groups
 
     nb = np.uint64(_n_buckets())
 
@@ -175,7 +175,7 @@ def duplicate_gram_hashes(ds, text_col: str = "text", k: int = 10,
         })
 
     def count_fn(t: pa.Table) -> pa.Table:
-        from .correlate import reduceat_sum
+        from ..functions.exchange import reduceat_sum
 
         u, sums = reduceat_sum(
             t["gram_hash"].to_numpy(zero_copy_only=False),

@@ -474,7 +474,7 @@ def frequent_line_hashes(ds, text_col: str = "text", min_count: int = 2,
     """
     import pandas as pd
 
-    from .correlate import _n_buckets, shuffle_groups
+    from ..functions.exchange import _n_buckets, shuffle_groups
 
     nb = np.uint64(_n_buckets())
 
@@ -508,7 +508,7 @@ def frequent_line_hashes(ds, text_col: str = "text", min_count: int = 2,
                          "gb": pa.array((u % nb).astype(np.int64))})
 
     def count_fn(t: pa.Table) -> pa.Table:
-        from .correlate import reduceat_sum
+        from ..functions.exchange import reduceat_sum
 
         u, sums = reduceat_sum(
             t["line_hash"].to_numpy(zero_copy_only=False),

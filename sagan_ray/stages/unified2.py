@@ -123,7 +123,7 @@ def pack_unified2(batch: pa.Table) -> tuple[bytes, dict[str, int]]:
     if "warc_ts" in cols:
         # normalize to us FIRST: ns-provenance blocks (pandas round
         # trips) cast straight to int64 would yield ns and wrap the
-        # uint32 seconds field (the _ts_us rule every sink follows)
+        # uint32 seconds field (the rule correlate._ts_us follows too)
         ts = pc.cast(pc.cast(batch["warc_ts"], pa.timestamp("us")),
                      pa.int64()).to_numpy(zero_copy_only=False)
         ts = np.where(np.isnan(ts.astype(np.float64)), 0, ts).astype(np.int64)

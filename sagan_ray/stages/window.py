@@ -5,7 +5,7 @@
 ``_n_buckets()`` coarse partitions (one shuffle) and the caller's
 function runs ONCE per partition with vectorized pandas groupby inside —
 no per-tiny-group Python call overhead (the same fix that made the
-correlation gate scale; see correlate.py).
+correlation gate scale; the shared helpers live in functions/exchange.py).
 
 All fns must be pure + deterministic given the partition frame (sorted
 explicitly inside) so task retries replay identically.
@@ -20,7 +20,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .correlate import _n_buckets
+from ..functions.exchange import _n_buckets
 
 
 def _cast_block(t: pa.Table, want: dict[str, pa.DataType]) -> pa.Table:
@@ -812,7 +812,7 @@ def hopping_window_agg(ds, keys: list[str], ts_col: str,
             out["value"] = out["mn"]
         return out[keys + ["ws", "value"]]
 
-    from .correlate import shuffle_groups
+    from ..functions.exchange import shuffle_groups
 
     out = shuffle_groups(ds.map_batches(pane_partials,
                                         batch_format="pyarrow"),

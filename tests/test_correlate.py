@@ -7,13 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sagan_ray.rules import parse_rule
-from sagan_ray.stages.correlate import (
-    _attach_gb,
-    _attach_keys,
-    _gate_partition,
-    _preprune_limit,
-    corr_specs,
-)
+from gate_oracle import _attach_gb, _gate_partition, _preprune_limit
+from sagan_ray.stages.correlate import _attach_keys, corr_specs
 
 THRESH_RULE = parse_rule(
     "alert any any any -> any any (sid:1; content:\"x\"; "
@@ -172,7 +167,8 @@ def test_xbits_expire_window(ray_session):
 def test_legacy_threshold_type_every_cth():
     """Deprecated `type threshold` = emit every C-th match per key/window."""
     from sagan_ray.rules import parse_rule
-    from sagan_ray.stages.correlate import _attach_gb, _gate_partition, corr_specs
+    from gate_oracle import _attach_gb, _gate_partition
+    from sagan_ray.stages.correlate import corr_specs
 
     rule = parse_rule(
         "alert any any any -> any any (sid:9; content:\"x\"; "

@@ -178,7 +178,8 @@ def test_preprune_bounds_hot_key():
     import pandas as pd
 
     from sagan_ray.rules import parse_rule
-    from sagan_ray.stages.correlate import _preprune_limit, corr_specs
+    from gate_oracle import _preprune_limit
+    from sagan_ray.stages.correlate import corr_specs
 
     rule = parse_rule(
         'alert any any any -> any any (sid:1; content:"x"; '

@@ -14,11 +14,15 @@ from hypothesis import strategies as st
 
 from sagan_ray.pipelines.flagship import gate_alerts, load_default_rules
 from sagan_ray.rules import parse_rules
+from sagan_ray.schema import ALERTS_SCHEMA
 from sagan_ray.stages.correlate import (
+    _SID_CONST,
+    _trim_payload,
     apply_correlation,
     apply_correlation_fused,
     apply_xbits,
     can_fuse,
+    fused_plan,
 )
 from sagan_ray.stages.match import match_alerts
 from sagan_ray.stages.route import route_alerts
@@ -40,7 +44,8 @@ SID_META = {r.sid: r for r in RULES}
 
 
 def alerts_table(rows, sid_meta=SID_META):
-    """rows: (sid, host, ts_sec) triples."""
+    """rows: (sid, host, ts_sec) triples; the sid-constant columns come
+    from the rules, as the match stage fills them."""
     n = len(rows)
     return pa.table(
         {
@@ -52,10 +57,11 @@ def alerts_table(rows, sid_meta=SID_META):
             "lang": pa.array(["en"] * n),
             "text": pa.array(["t"] * n),
             "sid": pa.array([r[0] for r in rows], type=pa.int64()),
-            "rev": pa.array([1] * n, type=pa.int32()),
+            "rev": pa.array([sid_meta[r[0]].rev for r in rows], type=pa.int32()),
             "msg": pa.array([sid_meta[r[0]].msg for r in rows]),
             "classification": pa.array([sid_meta[r[0]].classtype for r in rows]),
-            "priority": pa.array([2] * n, type=pa.int32()),
+            "priority": pa.array([sid_meta[r[0]].priority for r in rows],
+                                 type=pa.int32()),
         }
     )
 
@@ -70,6 +76,19 @@ def routed_set(ds):
 def exchange_ops(ds) -> list[str]:
     """Sort / MapGroups operators a materialized Dataset's plan ran."""
     return re.findall(r"Operator \d+ (Sort|MapGroups)\b", ds.stats())
+
+
+def block_schemas(ds) -> list[pa.Schema]:
+    """The distinct schemas of a materialized Dataset's blocks, leaving
+    out the column-less empty blocks Ray's exchange emits for partitions
+    that hold no rows."""
+    import ray
+
+    schemas: list[pa.Schema] = []
+    for t in ray.get(ds.to_arrow_refs()):
+        if t.num_columns and not any(t.schema.equals(s) for s in schemas):
+            schemas.append(t.schema)
+    return schemas
 
 
 # each gate test runs under both plans: `block_bytes` (tests/conftest.py)
@@ -166,6 +185,7 @@ def test_gate_alerts_mixed_family(ray_session, block_bytes, lim_ts,
     alerts = rd.from_arrow(alerts_table(rows, MIXED_META))
     gated = gate_alerts(alerts, MIXED_RULES).materialize()
     assert bool(exchange_ops(gated)) == (block_bytes is not None)
+    assert len(block_schemas(gated)) == 1
     routed = gated.to_pandas()
     ts_by_url = {f"u{i:04d}": t for i, (_s, _h, t) in enumerate(rows)}
     got = sorted((s, ts_by_url[u]) for s, u in zip(routed["sid"], routed["url"]))
@@ -187,7 +207,40 @@ def test_gate_alerts_web_rules(ray_session, block_bytes):
         apply_xbits(apply_correlation(alerts, rules).materialize(), rules))
     gated = gate_alerts(alerts, rules).materialize()
     assert bool(exchange_ops(gated)) == (block_bytes is not None)
+    assert len(block_schemas(gated)) == 1
     assert routed_set(gated) == want
+
+
+@pytest.mark.parametrize("block_bytes", [128], indirect=True)
+def test_fused_exchange_trims_sid_constants(ray_session, block_bytes):
+    """The fused exchange ships no sid-constant column: the tagged rows
+    carry no msg/classification/priority/rev, and the gated rows get
+    them back from the rules with the canonical types, in the input's
+    column order, in blocks of one schema."""
+    import ray.data as rd
+
+    rows = [(2, "h1", t) for t in (1, 2, 3)] + [
+        (5, "h1", 4), (6, "h1", 5), (7, "h2", 6), (1, "h1", 7)]
+    table = alerts_table(rows)
+    plan = _trim_payload(fused_plan(RULES), RULES,
+                         dict(zip(table.schema.names, table.schema.types)))
+    tagged = plan.tag(table)
+    # the limit rows pre-pruned to 2, then one row per xbit option
+    assert tagged.num_rows == 5
+    assert not set(_SID_CONST) & set(tagged.column_names)
+    gated = gate_alerts(rd.from_arrow(table), RULES).materialize()
+    assert exchange_ops(gated)
+    [schema] = block_schemas(gated)
+    assert schema.names == table.schema.names
+    for name in _SID_CONST:
+        assert schema.field(name).type == ALERTS_SCHEMA.field(name).type
+    routed = gated.to_pandas()
+    assert sorted(routed["sid"]) == [1, 2, 2, 5, 6, 7]
+    for _, row in routed.iterrows():
+        rule = SID_META[row["sid"]]
+        assert (row["msg"], row["classification"], row["priority"],
+                row["rev"]) == (rule.msg, rule.classtype, rule.priority,
+                                rule.rev)
 
 
 def test_small_stream_gates_in_one_task(ray_session, tmp_path):

