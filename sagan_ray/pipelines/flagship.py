@@ -113,13 +113,6 @@ def _compose_alerts(ds, rules: list[Rule], lookups=None,
     return alerts
 
 
-def _shuffle_width() -> int:
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return max(8, 2 * cpus)
-
-
 def gate_alerts(alerts, rules: list[Rule]):
     """Apply correlation + xbits, with the plan chosen by the size of the
     materialized alert stream.
@@ -130,12 +123,10 @@ def gate_alerts(alerts, rules: list[Rule]):
     (``correlate.gate_in_one_task``): the whole stream is one block, so
     every logical group is already whole and no exchange is needed.
 
-    A larger stream takes the tagged hash exchange once per plan of
+    A larger stream takes the tagged hash exchange
+    (``correlate.apply_correlation_fused``), once per plan of
     ``correlate.gate_plans``: the fused single-shuffle plan when no rule
-    mixes threshold/after with xbits, else correlation, then xbits. Its
-    fragmented input (the match stage emits many near-empty filtered
-    blocks, which cost ~10x in shuffle overhead) is coalesced to
-    ``_shuffle_width()`` blocks first."""
+    mixes threshold/after with xbits, else correlation, then xbits."""
     alerts = _drop_noalert(alerts, rules)
     needs_branching = any(r.threshold or r.after or r.xbits for r in rules)
     if not needs_branching:
@@ -144,17 +135,9 @@ def gate_alerts(alerts, rules: list[Rule]):
     block_bytes = alerts.context.target_max_block_size
     if block_bytes is None or alerts.size_bytes() <= block_bytes:
         return correlate.gate_in_one_task(alerts, rules)
-    width = _shuffle_width()
-    for plan in correlate.gate_plans(rules):
-        alerts = alerts.materialize()
-        if alerts.num_blocks() > 2 * width:
-            # only pay the coalesce when the filtered stream really is
-            # fragmented (reads with override_num_blocks never are)
-            alerts = alerts.repartition(width).materialize()
-        # looked up in the module at call time, so a tracer that patches
-        # correlate.apply_correlation_fused sees the fused exchange
-        alerts = getattr(correlate, plan.exchange)(alerts, rules)
-    return alerts
+    # looked up in the module at call time, so a tracer that patches
+    # correlate.apply_correlation_fused sees the exchange
+    return correlate.apply_correlation_fused(alerts, rules)
 
 
 def _drop_noalert(alerts, rules: list[Rule]):

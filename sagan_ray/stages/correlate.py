@@ -31,16 +31,15 @@ Physical shape (scale notes):
   size: a stream at or under Ray's ``target_max_block_size`` is gated
   in ONE task (:func:`gate_in_one_task`: one block holds every logical
   group whole, so there is no sort-shuffle and no union); a larger one
-  takes the tagged hash exchange (:func:`_shuffled`), once per plan.
+  takes the tagged hash exchange (:func:`apply_correlation_fused`:
+  :func:`_shuffled` once per plan).
 * The exchange is ONE hash shuffle per plan, keyed on
   ``gb = hash(logical group key) % NB`` — logical groups are co-located
   into NB coarse partitions and the gate runs vectorized per partition
   (no per-tiny-group Python call overhead).
-* The payload trim is the exchange's alone: the sid-constant columns
-  (msg, classification, priority, rev) ride no shuffle — they are
-  dropped before the tag and re-attached after the gate in the input's
-  column order and types (:func:`_trim_payload`). The one-task plan
-  keeps every column in place.
+* Tagged rows carry every column, so both physical plans route a row
+  with its own values (msg, classification, priority, rev included),
+  in the input's column order and types.
 * Hot-host skew: a batch-local pre-prune keeps at most C rows per
   (sid,key,bucket) per input batch for `limit` rules before the shuffle,
   so a host with 10^7 hits in one bucket ships O(C·num_batches) rows.
@@ -327,62 +326,22 @@ class GatePlan(NamedTuple):
     ``tag`` emits the rows that must, each carrying a ``gb`` co-location
     column; ``gate`` decides any frame of WHOLE logical groups (one
     exchange partition, or the entire stream) and returns routable rows
-    without the helper columns. ``exchange`` names the public function
-    of this module that runs the plan through the tagged exchange."""
+    without the helper columns."""
 
     bypass: Callable[[pa.Table], pa.Table]
     tag: Callable[[pa.Table], pa.Table]
     gate: Callable[[pa.Table], pa.Table]
-    exchange: str
 
 
 # helper columns each family's tag adds next to ``gb``
 _CORR_KEYS = ["ckey", "bucket"]
 _XBIT_KEYS = ["xname", "xaction", "xkey", "xexpire"]
 
-# alert columns that are pure functions of sid (rule metadata) -> the
-# Rule attribute that holds them
-_SID_CONST = {"msg": "msg", "classification": "classtype",
-              "priority": "priority", "rev": "rev"}
 
-
-def _trim_payload(plan: GatePlan, rules: list[Rule],
-                  types: dict[str, pa.DataType]) -> GatePlan:
-    """``plan`` with the sid-constant columns dropped before its tag and
-    re-attached after its gate, from the rules, with the input's
-    ``types`` (column name -> type, in the input's column order) — less
-    payload per shuffled row, the same routed rows."""
-    by_sid = {r.sid: r for r in rules}
-    sids = np.array(sorted(by_sid), dtype=np.int64)
-    # an all-null (`null`-typed) column, as in an empty stream, has no
-    # values to re-attach and rides along
-    consts = {c: pa.array([getattr(by_sid[s], attr) for s in sids], type=types[c])
-              for c, attr in _SID_CONST.items()
-              if c in types and not pa.types.is_null(types[c])}
-    names = list(types)
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return plan.tag(batch.drop_columns(list(consts)))
-
-    def gate(g: pa.Table) -> pa.Table:
-        out = plan.gate(g)
-        idx = pa.array(np.searchsorted(sids, _np_col(out, "sid", np.int64)))
-        for c, vals in consts.items():
-            out = out.append_column(c, vals.take(idx))
-        return out.select(names)
-
-    return plan._replace(tag=tag, gate=gate)
-
-
-def _shuffled(alerts_ds, plan: GatePlan, rules: list[Rule]):
+def _shuffled(alerts_ds, plan: GatePlan):
     """Tagged hash exchange: bypass rows stream past it, tagged rows meet
-    their group in one ``gb`` partition, carrying no sid-constant
-    columns (:func:`_trim_payload`). The input is consumed by both
+    their group in one ``gb`` partition. The input is consumed by both
     branches — materialize it first."""
-    schema = alerts_ds.schema()
-    if schema is None:  # no blocks, nothing to gate
-        return alerts_ds
-    plan = _trim_payload(plan, rules, dict(zip(schema.names, schema.types)))
     plain = alerts_ds.map_batches(plan.bypass, batch_format="pyarrow")
     tagged = alerts_ds.map_batches(plan.tag, batch_format="pyarrow")
     gated = shuffle_groups(tagged, "gb", plan.gate, batch_format="pyarrow")
@@ -424,16 +383,7 @@ def correlation_plan(rules: list[Rule]) -> GatePlan | None:
     def gate(g: pa.Table) -> pa.Table:
         return _gate_partition_pa(g, specs).drop_columns(_CORR_KEYS + ["gb"])
 
-    return GatePlan(bypass, tag, gate, "apply_correlation")
-
-
-def apply_correlation(alerts_ds, rules: list[Rule]):
-    """alerts Dataset -> gated alerts Dataset, through the tagged
-    exchange (:func:`correlation_plan`). Uncorrelated rules bypass the
-    shuffle. The input is consumed by two branches — materialize or
-    checkpoint it first (the pipeline helpers do)."""
-    plan = correlation_plan(rules)
-    return alerts_ds if plan is None else _shuffled(alerts_ds, plan, rules)
+    return GatePlan(bypass, tag, gate)
 
 
 # ---------------------------------------------------------------------------
@@ -574,15 +524,7 @@ def xbits_plan(rules: list[Rule]) -> GatePlan | None:
         return out.filter(pc.invert(pc.is_in(
             out["sid"], value_set=noalert_arr).combine_chunks()))
 
-    return GatePlan(bypass, tag, gate, "apply_xbits")
-
-
-def apply_xbits(alerts_ds, rules: list[Rule]):
-    """Two-pass xbits (:func:`xbits_plan` through the tagged exchange).
-    The input Dataset is consumed by two branches — materialize or
-    checkpoint it first (the pipeline helpers do)."""
-    plan = xbits_plan(rules)
-    return alerts_ds if plan is None else _shuffled(alerts_ds, plan, rules)
+    return GatePlan(bypass, tag, gate)
 
 
 # ---------------------------------------------------------------------------
@@ -606,9 +548,7 @@ def fused_plan(rules: list[Rule]) -> GatePlan | None:
     correlates or carries xbits."""
     corr, xb = correlation_plan(rules), xbits_plan(rules)
     if corr is None or xb is None:
-        plan = corr or xb
-        return None if plan is None else plan._replace(
-            exchange="apply_correlation_fused")
+        return corr or xb
 
     def bypass(batch: pa.Table) -> pa.Table:
         return xb.bypass(corr.bypass(batch))
@@ -624,17 +564,7 @@ def fused_plan(rules: list[Rule]) -> GatePlan | None:
             xb.gate(g.filter(is_xbit).drop_columns(_CORR_KEYS)),
         ])
 
-    return GatePlan(bypass, tag, gate, "apply_correlation_fused")
-
-
-def apply_correlation_fused(alerts_ds, rules: list[Rule]):
-    """Single-shuffle correlation (:func:`fused_plan` through the tagged
-    exchange): 1 shuffle + 2 scans in place of
-    apply_correlation→apply_xbits (2 shuffles, ~5 branch scans).
-
-    Input must be materialized (it is consumed twice)."""
-    plan = fused_plan(rules)
-    return alerts_ds if plan is None else _shuffled(alerts_ds, plan, rules)
+    return GatePlan(bypass, tag, gate)
 
 
 def gate_plans(rules: list[Rule]) -> list[GatePlan]:
@@ -663,3 +593,28 @@ def gate_in_one_task(alerts_ds, rules: list[Rule]):
 
     return alerts_ds.repartition(1).map_batches(
         gate_all, batch_size=None, batch_format="pyarrow")
+
+
+def _shuffle_width() -> int:
+    import ray
+
+    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+    return max(8, 2 * cpus)
+
+
+def apply_correlation_fused(alerts_ds, rules: list[Rule]):
+    """Gate a stream through the tagged exchange, one shuffle per plan of
+    :func:`gate_plans` (one for the fused plan, so 1 shuffle + 2 scans in
+    place of correlation then xbits). Each plan's input is materialized
+    first (the exchange consumes it twice) and, when fragmented (the
+    match stage emits many near-empty filtered blocks, which cost ~10x
+    in shuffle overhead), coalesced to ``_shuffle_width()`` blocks."""
+    width = _shuffle_width()
+    for plan in gate_plans(rules):
+        alerts_ds = alerts_ds.materialize()
+        if alerts_ds.num_blocks() > 2 * width:
+            # only pay the coalesce when the filtered stream really is
+            # fragmented (reads with override_num_blocks never are)
+            alerts_ds = alerts_ds.repartition(width).materialize()
+        alerts_ds = _shuffled(alerts_ds, plan)
+    return alerts_ds

@@ -1,13 +1,34 @@
 """Pandas reference twins of the gate kernels in
 ``sagan_ray.stages.correlate``: the tests compare the Arrow-native
 product kernels against these, and use them as the parity oracle for
-the threshold/after and xbits semantics. No product path calls them."""
+the threshold/after and xbits semantics. Also the two-phase exchange
+reference — each gate family through its own shuffle — that the fused
+plan is compared against. No product path calls them."""
 
 import numpy as np
 import pandas as pd
 
 from sagan_ray.functions.exchange import _n_buckets
-from sagan_ray.stages.correlate import _gate_order_keep
+from sagan_ray.stages.correlate import (
+    _gate_order_keep,
+    _shuffled,
+    correlation_plan,
+    xbits_plan,
+)
+
+
+def apply_correlation(alerts_ds, rules):
+    """The threshold/after family alone through the tagged exchange.
+    The input is consumed twice — materialize it first."""
+    plan = correlation_plan(rules)
+    return alerts_ds if plan is None else _shuffled(alerts_ds, plan)
+
+
+def apply_xbits(alerts_ds, rules):
+    """The xbits family alone through the tagged exchange. The input is
+    consumed twice — materialize it first."""
+    plan = xbits_plan(rules)
+    return alerts_ds if plan is None else _shuffled(alerts_ds, plan)
 
 
 def _attach_gb(pdf: pd.DataFrame, cols: list[str],

@@ -126,7 +126,7 @@ def test_xbits_expire_window(ray_session):
     import ray.data as rd
 
     from sagan_ray.rules import parse_rules
-    from sagan_ray.stages.correlate import apply_xbits
+    from gate_oracle import apply_xbits
 
     rules, _ = parse_rules(
         'alert any any any -> any any (sid:10; content:"SETME"; '

@@ -12,18 +12,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from gate_oracle import apply_correlation, apply_xbits
 from sagan_ray.pipelines.flagship import gate_alerts, load_default_rules
 from sagan_ray.rules import parse_rules
 from sagan_ray.schema import ALERTS_SCHEMA
-from sagan_ray.stages.correlate import (
-    _SID_CONST,
-    _trim_payload,
-    apply_correlation,
-    apply_correlation_fused,
-    apply_xbits,
-    can_fuse,
-    fused_plan,
-)
+from sagan_ray.stages.correlate import apply_correlation_fused, can_fuse
 from sagan_ray.stages.match import match_alerts
 from sagan_ray.stages.route import route_alerts
 from sagan_ray.sources.webpages import webpages_from_documents
@@ -44,8 +37,7 @@ SID_META = {r.sid: r for r in RULES}
 
 
 def alerts_table(rows, sid_meta=SID_META):
-    """rows: (sid, host, ts_sec) triples; the sid-constant columns come
-    from the rules, as the match stage fills them."""
+    """rows: (sid, host, ts_sec) triples."""
     n = len(rows)
     return pa.table(
         {
@@ -57,11 +49,10 @@ def alerts_table(rows, sid_meta=SID_META):
             "lang": pa.array(["en"] * n),
             "text": pa.array(["t"] * n),
             "sid": pa.array([r[0] for r in rows], type=pa.int64()),
-            "rev": pa.array([sid_meta[r[0]].rev for r in rows], type=pa.int32()),
+            "rev": pa.array([1] * n, type=pa.int32()),
             "msg": pa.array([sid_meta[r[0]].msg for r in rows]),
             "classification": pa.array([sid_meta[r[0]].classtype for r in rows]),
-            "priority": pa.array([sid_meta[r[0]].priority for r in rows],
-                                 type=pa.int32()),
+            "priority": pa.array([2] * n, type=pa.int32()),
         }
     )
 
@@ -211,36 +202,34 @@ def test_gate_alerts_web_rules(ray_session, block_bytes):
     assert routed_set(gated) == want
 
 
-@pytest.mark.parametrize("block_bytes", [128], indirect=True)
-def test_fused_exchange_trims_sid_constants(ray_session, block_bytes):
-    """The fused exchange ships no sid-constant column: the tagged rows
-    carry no msg/classification/priority/rev, and the gated rows get
-    them back from the rules with the canonical types, in the input's
-    column order, in blocks of one schema."""
+@both_plans(128)
+def test_gate_keeps_row_sid_constants(ray_session, block_bytes):
+    """A gated row routes with its own msg/classification/priority/rev,
+    not its rule's — as when stage B re-gates a checkpointed row under
+    reloaded rules — the same under both plans, in blocks of the input's
+    schema."""
     import ray.data as rd
 
     rows = [(2, "h1", t) for t in (1, 2, 3)] + [
         (5, "h1", 4), (6, "h1", 5), (7, "h2", 6), (1, "h1", 7)]
     table = alerts_table(rows)
-    plan = _trim_payload(fused_plan(RULES), RULES,
-                         dict(zip(table.schema.names, table.schema.types)))
-    tagged = plan.tag(table)
-    # the limit rows pre-pruned to 2, then one row per xbit option
-    assert tagged.num_rows == 5
-    assert not set(_SID_CONST) & set(tagged.column_names)
+    n = table.num_rows
+    old = {"msg": "old msg", "classification": "old-class",
+           "priority": 9, "rev": 7}
+    for name, value in old.items():
+        i = table.schema.get_field_index(name)
+        table = table.set_column(
+            i, name, pa.array([value] * n, type=table.schema.field(i).type))
     gated = gate_alerts(rd.from_arrow(table), RULES).materialize()
-    assert exchange_ops(gated)
+    assert bool(exchange_ops(gated)) == (block_bytes is not None)
     [schema] = block_schemas(gated)
-    assert schema.names == table.schema.names
-    for name in _SID_CONST:
+    assert schema.equals(table.schema)
+    for name in old:
         assert schema.field(name).type == ALERTS_SCHEMA.field(name).type
     routed = gated.to_pandas()
     assert sorted(routed["sid"]) == [1, 2, 2, 5, 6, 7]
-    for _, row in routed.iterrows():
-        rule = SID_META[row["sid"]]
-        assert (row["msg"], row["classification"], row["priority"],
-                row["rev"]) == (rule.msg, rule.classtype, rule.priority,
-                                rule.rev)
+    for name, value in old.items():
+        assert set(routed[name]) == {value}
 
 
 def test_small_stream_gates_in_one_task(ray_session, tmp_path):

@@ -108,10 +108,8 @@ alert any any any -> any any (msg:"p"; sid:8102; rev:1; classtype:misc-activity;
 def test_noalert_isset_rule_never_routes(ray_session, fused):
     """A noalert rule with an xbits TEST evaluates but routes nothing
     (flagship contract); the set-side rule still routes its own alert."""
-    from sagan_ray.stages.correlate import (
-        apply_correlation_fused,
-        apply_xbits,
-    )
+    from gate_oracle import apply_xbits
+    from sagan_ray.stages.correlate import apply_correlation_fused
 
     rules, alerts = _noalert_isset_alerts()
     assert sorted(alerts.to_pandas()["sid"]) == [8001, 8002]
@@ -125,10 +123,8 @@ def test_missing_track_column_keys_to_empty_both_engines(ray_session):
     """track by_username with no username column: one '' group in BOTH
     xbits engines (the _track_col contract; the old fallback used host,
     splitting state per host)."""
-    from sagan_ray.stages.correlate import (
-        apply_correlation_fused,
-        apply_xbits,
-    )
+    from gate_oracle import apply_xbits
+    from sagan_ray.stages.correlate import apply_correlation_fused
 
     # set on host A, probe on host B: with the '' group they correlate
     rules, alerts = _missing_track_alerts()

