@@ -1,9 +1,20 @@
 """Coarse-bucket exchange helpers shared by every shuffle in the repo:
-the bucket count, the groupby seam and the per-partition count reduce."""
+the cluster's CPU count, the bucket count, the groupby seam and the
+per-partition count reduce."""
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def cluster_cpus() -> int:
+    """CPUs of the running Ray cluster, or 8 when no session is up yet
+    (the first Ray call in a script starts one). The one lookup behind
+    every width sized from the cluster: shuffle widths, bucket counts
+    and the parquet read's block count."""
+    import ray
+
+    return int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
 
 
 def _n_buckets() -> int:
@@ -12,10 +23,7 @@ def _n_buckets() -> int:
     equal to the old fixed 512 (within run noise); the point is the
     CLUSTER direction — a fixed 512 would cap the gate at 512 parallel
     units on a 256-node run, while 4x cores keeps every core fed."""
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 16)) if ray.is_initialized() else 16
-    return max(64, 4 * cpus)
+    return max(64, 4 * cluster_cpus())
 
 
 def shuffle_groups(ds, key: str, fn, batch_format: str = "pandas"):

@@ -7,9 +7,11 @@ fan-out; see SURVEY.md §3.1):
 
     read_parquet → map_batches(parse) → [map_batches(enrich): rule gates on it]
       → map_batches(match, rules) → materialize (the alert stream)
+          read through match: one fused task per input file
       → gate (threshold/after + xbits), one plan list correlate.gate_plans:
           [fused], or [correlation, xbits] when a rule mixes the families
-          size ≤ target_max_block_size: repartition(1) → map_batches(every plan)
+          size ≤ target_max_block_size:
+            map_batches(every plan, batch_size=stream rows): one task
           larger, per plan: tagged groupby(gb).map_groups(gate) ∪ bypass rows
       → [map_batches(enrich): otherwise]
       → write_parquet(partition_cols=[classification]) → manifest.json
@@ -227,17 +229,9 @@ def run_flagship(
         ds = ds.map_batches(tag_part, batch_format="pyarrow")
         if derive_from_documents:
             ds = ds.map_batches(derive_batch, batch_format="pyarrow")
-        schema_names = None
         if pre_stage is not None:
-            # probe the schema BEFORE the (possibly stateful) pre_stage:
-            # match_alerts' own schema probe would otherwise execute the
-            # stage on one block as a side effect (a stateful dedup gate
-            # would see that block's content as already-seen on the real
-            # pass). pre_stage contract: row filtering only, no schema
-            # change.
-            schema_names = ds.schema().names
             ds = pre_stage(ds)
-        alerts = match_alerts(ds, rules, schema_names=schema_names)
+        alerts = match_alerts(ds, rules)
         os.makedirs(ckpt_base, exist_ok=True)
         alerts.write_parquet(ckpt_base, partition_cols=["part_id"])
         for pid, f in chunk:

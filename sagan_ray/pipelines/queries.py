@@ -20,6 +20,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.exchange import cluster_cpus
 from ..sources.webpages import WEBPAGES_SQL, webpages_from_documents
 from ..stages.enrich import default_lookups, enrich_stage
 from ..stages.match import match_alerts
@@ -391,9 +392,7 @@ def _npart(rows: int | None = None) -> int:
     when known (one partition per ~2M rows — each partition spawns an
     aggregator actor, so width is pure overhead on small inputs),
     clamped to [8, 2x cluster CPUs] so big inputs use the whole cluster."""
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+    cpus = cluster_cpus()
     if rows is None:
         return max(8, cpus)
     return max(8, min(2 * cpus, rows // 2_000_000 + 8))

@@ -57,7 +57,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.exchange import _n_buckets, shuffle_groups
+from ..functions.exchange import _n_buckets, cluster_cpus, shuffle_groups
 from ..rules import Rule
 
 
@@ -580,10 +580,15 @@ def gate_plans(rules: list[Rule]) -> list[GatePlan]:
 
 
 def gate_in_one_task(alerts_ds, rules: list[Rule]):
-    """Gate a stream small enough for ONE block in one task: the row
-    functions of :func:`gate_plans`, with every logical group already
-    whole in the one table — no sort-shuffle, no union, one output
-    block. Every column stays in place and keeps its type."""
+    """Gate a materialized stream small enough for ONE block in one
+    task: the row functions of :func:`gate_plans`, with every logical
+    group already whole in the one table — no sort-shuffle, no union,
+    one output block. Every column stays in place and keeps its type.
+
+    A batch of the stream's row count (metadata of the materialized
+    stream) makes Ray bundle every block into one task and one batch,
+    without the extra ``repartition(1)`` execution that used to gather
+    the blocks first."""
     plans = gate_plans(rules)
 
     def gate_all(t: pa.Table) -> pa.Table:
@@ -591,15 +596,13 @@ def gate_in_one_task(alerts_ds, rules: list[Rule]):
             t = pa.concat_tables([plan.bypass(t), plan.gate(plan.tag(t))])
         return t
 
-    return alerts_ds.repartition(1).map_batches(
-        gate_all, batch_size=None, batch_format="pyarrow")
+    return alerts_ds.map_batches(
+        gate_all, batch_size=max(alerts_ds.count(), 1),
+        batch_format="pyarrow")
 
 
 def _shuffle_width() -> int:
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return max(8, 2 * cpus)
+    return max(8, 2 * cluster_cpus())
 
 
 def apply_correlation_fused(alerts_ds, rules: list[Rule]):

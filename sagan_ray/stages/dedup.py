@@ -30,6 +30,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..functions.exchange import cluster_cpus
+
 # ---------------------------------------------------------------------------
 # exact dedup
 # ---------------------------------------------------------------------------
@@ -594,10 +596,7 @@ def _ensure_cols(cols: "dict[str, pa.DataType]"):
 
 
 def _join_width() -> int:
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return max(8, cpus)
+    return max(8, cluster_cpus())
 
 
 def _rename_cols(ds, mapping: dict[str, str]):
@@ -1110,10 +1109,7 @@ def embedding_dup_pairs(ds, threshold: float = 0.95, n_planes: int = 16,
 
 
 def _cc_buckets() -> int:
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return max(64, 4 * cpus)
+    return max(64, 4 * cluster_cpus())
 
 
 def _cc_gb(vals: np.ndarray, nb: int) -> pa.Array:

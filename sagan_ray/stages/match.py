@@ -620,40 +620,37 @@ def make_matcher(rules: list[Rule], text_col: str = "text"):
     return match_batch
 
 
-def match_alerts(ds, rules: list[Rule], text_col: str = "text",
-                 schema_names: list[str] | None = None):
-    """webpages Dataset -> alerts Dataset (project html away first:
-    only alert columns should ever reach a shuffle — UNLESS a rule needs
-    rawbytes matching, in which case html is cast to a latin-1-ish
-    string column for the match stage only and still never shuffled).
+# the input columns the matcher reads or carries onto alerts
+_KEEP = ("url", "warc_ts", "host", "lang", "text", "source", "event_id",
+         "props", "country", "blacklisted", "intel_hit", "part_id",
+         "facility", "level", "program", "tag",
+         "proto")  # header proto gate reads it (flow.c)
 
-    ``schema_names``: pass the input's column names when ``ds`` contains
-    a STATEFUL upstream stage (e.g. the streaming seen-set gate) —
-    otherwise the ``ds.schema()`` probe here executes that stage on a
-    block as a side effect (Ray infers unknown schemas by running one
-    block), feeding the state before the real pass runs."""
+
+def match_alerts(ds, rules: list[Rule], text_col: str = "text"):
+    """webpages Dataset -> alerts Dataset, as ONE ``map_batches`` stage.
+
+    Each batch is first cut to the columns the matcher needs, so html
+    never reaches an alert or a shuffle — UNLESS a rule needs rawbytes
+    matching, in which case html is cast to a latin-1-ish ``html_str``
+    column for the match only. Both happen inside the stage's UDF,
+    per batch, so building the stage reads no schema and executes
+    nothing: a stateful stage upstream (the streaming seen-set gate)
+    sees each block exactly once, on the real pass."""
     needs_raw = any(c.rawbytes for r in rules for c in r.contents)
-    names = schema_names if schema_names is not None else ds.schema().names
-    keep = [c for c in ["url", "warc_ts", "host", "lang", "text", "source",
-                        "event_id", "props", "country", "blacklisted",
-                        "intel_hit", "part_id", "facility", "level",
-                        "program", "tag",
-                        "proto"]  # header proto gate reads it (flow.c)
-            if c in names]
-    if needs_raw and "html" in names:
-        def _latin1(t: pa.Table) -> pa.Table:
+    matcher = make_matcher(rules, text_col=text_col)
+
+    def match_batch(t: pa.Table) -> pa.Table:
+        names = t.column_names
+        sub = t.select([c for c in _KEEP if c in names])
+        if needs_raw and "html" in names:
             # latin-1, NOT a utf-8-validating cast: real html payloads
             # carry bytes >0x7F (0xFF etc.) that would raise
             # ArrowInvalid, and rules.py documents |hex| escapes as
             # latin-1 codepoints — every byte maps 1:1 to a char
-            vals = [
-                b.decode("latin-1") if b is not None else None
-                for b in t["html"].to_pylist()
-            ]
-            return t.append_column("html_str", pa.array(vals, type=pa.string()))
+            vals = [b.decode("latin-1") if b is not None else None
+                    for b in t["html"].to_pylist()]
+            sub = sub.append_column("html_str", pa.array(vals, type=pa.string()))
+        return matcher(sub)
 
-        ds = ds.map_batches(_latin1, batch_format="pyarrow")
-        keep = keep + ["html_str"]
-    ds = ds.select_columns(keep)
-    return ds.map_batches(make_matcher(rules, text_col=text_col),
-                          batch_format="pyarrow")
+    return ds.map_batches(match_batch, batch_format="pyarrow")

@@ -1,14 +1,20 @@
 """Golden end-to-end + resume idempotence (SURVEY.md §5.3–5.4)."""
 
 import os
+import re
 import shutil
+import uuid
 
+import pyarrow as pa
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import pytest
 
+from sagan_ray.functions import exchange
 from sagan_ray.pipelines.flagship import load_default_rules, run_flagship, run_streaming
-from sagan_ray.sources.webpages import webpages_from_documents
+from sagan_ray.sources import read_parquet_clean
+from sagan_ray.sources.webpages import derive_batch, webpages_from_documents
+from sagan_ray.stages.match import make_matcher, match_alerts
 
 SF = "/root/testdata/sf0.001"
 
@@ -99,3 +105,90 @@ def test_rerun_skips_completed(ray_session, part_files, tmp_path):
     assert m1 == m2
     for d, mt in ckpt_mtime.items():
         assert os.path.getmtime(os.path.join(run_dir, "ckpt", d)) == mt
+
+
+def _write_webpages(tmp_path, layout):
+    """sf0.001's webpages written as parquet: 4 files, 1 file, or a
+    hive-partitioned checkpoint-style directory of 3 part dirs x 2
+    files. Returns (what to read, the files written)."""
+    t = derive_batch(pq.read_table(f"{SF}/documents.parquet"))
+    if layout == "files":
+        files = [str(tmp_path / f"w{i}.parquet") for i in range(4)]
+    elif layout == "one_file":
+        files = [str(tmp_path / "w.parquet")]
+    else:
+        files = [str(tmp_path / "ckpt" / f"part_id=p{i // 2}" / f"{i}.parquet")
+                 for i in range(6)]
+    step = -(-t.num_rows // len(files))
+    for i, f in enumerate(files):
+        os.makedirs(os.path.dirname(f), exist_ok=True)
+        pq.write_table(t.slice(i * step, step), f)
+    return (str(tmp_path / "ckpt") if layout == "hive" else files), files
+
+
+@pytest.mark.parametrize("layout", ["files", "one_file", "hive"])
+def test_read_rule_fuses_read_and_match(ray_session, tmp_path, monkeypatch,
+                                        layout):
+    """With at least as many files as CPUs the read and the match run as
+    ONE fused operator, one task per file (a hive directory counts its
+    files, not its part dirs); one file still splits, to one block per
+    CPU. Every case routes the rows the matcher gives in one process."""
+    import ray
+
+    monkeypatch.setattr(exchange, "cluster_cpus", lambda: 4)
+    rules = load_default_rules()
+    paths, files = _write_webpages(tmp_path, layout)
+    alerts = match_alerts(read_parquet_clean(paths), rules).materialize()
+    ops = re.findall(r"Operator \d+ (\S+): (\d+) tasks executed",
+                     alerts.stats())
+    if layout == "one_file":
+        assert ops == [("ReadParquet->SplitBlocks(4)", "1"),
+                       ("MapBatches(match_batch)", "4")]
+    else:
+        [(op, tasks)] = ops
+        assert op.startswith("ReadParquet->")
+        assert op.endswith("MapBatches(match_batch)")
+        assert int(tasks) == len(files)
+    assert alerts.num_blocks() == max(len(files), 4)
+
+    want = make_matcher(rules)(pa.concat_tables(pq.read_table(f) for f in files))
+    key = ["url", "sid"]
+    got = pa.concat_tables(ray.get(alerts.to_arrow_refs()))
+    got = got.select(key).sort_by([(c, "ascending") for c in key])
+    assert got.equals(want.select(key).sort_by([(c, "ascending") for c in key]))
+
+
+def test_match_stage_builds_without_executing(ray_session):
+    """Building the match stage runs nothing upstream of it: no schema
+    probe executes the (here raising) stage before it."""
+    import ray.data as rd
+
+    def boom(t):
+        raise RuntimeError("executed while the plan was built")
+
+    ds = rd.from_arrow(derive_batch(pq.read_table(f"{SF}/documents.parquet")))
+    match_alerts(ds.map_batches(boom, batch_format="pyarrow"),
+                 load_default_rules())
+
+
+def test_run_flagship_pre_stage_sees_each_block_once(ray_session, part_files,
+                                                     tmp_path):
+    """A stateful pre_stage sees every input row exactly once, in one
+    call per input block (one block per file): no probe runs it on a
+    block before the real pass."""
+    marks = tmp_path / "marks"
+    marks.mkdir()
+
+    def pre(ds):
+        def mark(t):
+            (marks / f"{t.num_rows}_{uuid.uuid4().hex}").touch()
+            return t
+
+        return ds.map_batches(mark, batch_format="pyarrow")
+
+    run_dir = str(tmp_path / "run")
+    manifest = run_flagship(part_files, run_dir, pre_stage=pre)
+    rows = [int(m.split("_")[0]) for m in os.listdir(marks)]
+    assert sum(rows) == sum(pq.read_metadata(f).num_rows for f in part_files)
+    assert len(rows) == len(part_files)
+    assert manifest["sinks"] == GOLDEN

@@ -233,15 +233,35 @@ def test_gate_keeps_row_sid_constants(ray_session, block_bytes):
 
 
 def test_small_stream_gates_in_one_task(ray_session, tmp_path):
-    """An alert stream that fits one block is gated without a sort or
-    MapGroups exchange, into at most 2 blocks, and routes to one parquet
-    file per classification."""
-    gated = gate_alerts(web_alerts(), load_default_rules()).materialize()
-    assert exchange_ops(gated) == []
-    assert gated.num_blocks() <= 2
-    manifest = route_alerts(gated, str(tmp_path))
-    sink_dir = tmp_path / "sinks"
-    for cls in manifest["sinks"]:
-        files = [f for f in os.listdir(sink_dir / f"classification={cls}")
-                 if f.endswith(".parquet")]
-        assert len(files) == 1, (cls, files)
+    """An alert stream that fits one block is gated in ONE task, without
+    a sort, MapGroups or Repartition operator, into one block, and routes
+    to one parquet file per classification — also when the stream
+    arrives in many blocks."""
+    import ray
+    import ray.data as rd
+
+    rules = load_default_rules()
+    alerts = web_alerts().materialize()
+    table = pa.concat_tables(ray.get(alerts.to_arrow_refs()))
+    step = -(-table.num_rows // 6)
+    many = rd.from_arrow([table.slice(i, step)
+                          for i in range(0, table.num_rows, step)])
+    assert many.num_blocks() >= 5
+    routed = []
+    for i, stream in enumerate((alerts, many)):
+        gated = gate_alerts(stream, rules).materialize()
+        routed.append(routed_set(gated))
+        stats = gated.stats()
+        assert exchange_ops(gated) == []
+        assert not re.search(r"Operator \d+ \S*Repartition", stats)
+        assert re.findall(
+            r"Operator \d+ MapBatches\(gate_all\): (\d+) tasks executed",
+            stats) == ["1"]
+        assert gated.num_blocks() == 1
+        out = tmp_path / f"run{i}"
+        manifest = route_alerts(gated, str(out))
+        for cls in manifest["sinks"]:
+            files = [f for f in os.listdir(out / "sinks" / f"classification={cls}")
+                     if f.endswith(".parquet")]
+            assert len(files) == 1, (cls, files)
+    assert routed[0] == routed[1]
