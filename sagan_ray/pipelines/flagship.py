@@ -162,6 +162,19 @@ def _drop_noalert(alerts, rules: list[Rule]):
     return alerts.map_batches(flt, batch_format="pyarrow")
 
 
+def rules_fingerprint(rules: list[Rule]) -> str:
+    """sha256 over what stage B reads of a rule set: each rule's sid,
+    gate options (threshold, after, xbits), ``noalert`` and classtype.
+    A reload that changes one of them re-gates the checkpoint; one that
+    changes only a ``msg`` does not."""
+    import hashlib
+    import json as _json
+
+    key = sorted((r.sid, r.classtype, r.noalert, repr(r.threshold),
+                  repr(r.after), repr(r.xbits)) for r in rules)
+    return hashlib.sha256(_json.dumps(key).encode()).hexdigest()
+
+
 def run_flagship(
     input_files: list[str],
     run_dir: str,
@@ -189,6 +202,11 @@ def run_flagship(
     partition-addressed), recording lineage after each chunk. Chunking
     bounds replay-on-failure to one chunk while keeping the driver loop
     short — at 10^12 rows the loop is #files/64 iterations, not #files.
+
+    Stage B (gate + route over every checkpointed alert) is skipped,
+    returning the last manifest, only when both its ``lineage_hash`` and
+    its ``rules_fingerprint`` (:func:`rules_fingerprint`) are unchanged:
+    a rule reload re-gates even when no new file landed.
 
     ``fail_after_partitions`` is test-only fault injection: raise after
     checkpointing that many partitions (the resume test kills at ~50%).
@@ -262,9 +280,10 @@ def run_flagship(
             raise RuntimeError(f"injected failure after {n_done} partitions")
 
     # ---- stage B: correlate + route over all checkpointed alerts ----
-    # Skip entirely when the checkpoint state is unchanged since the
-    # last completed run (manifest written LAST, so a killed stage B
-    # never leaves a matching hash behind).
+    # Skip entirely when neither the checkpoint state nor what stage B
+    # reads of the rules changed since the last completed run (manifest
+    # written LAST, so a killed stage B never leaves a matching hash
+    # behind).
     import hashlib
     import json as _json
 
@@ -272,11 +291,13 @@ def run_flagship(
     lineage_hash = hashlib.sha256(
         _json.dumps(sorted(done_now.items()), sort_keys=True).encode()
     ).hexdigest()
+    rules_fp = rules_fingerprint(rules)
     manifest_path = os.path.join(run_dir, "manifest.json")
     if os.path.exists(manifest_path):
         with open(manifest_path) as f:
             prev = _json.load(f)
-        if prev.get("lineage_hash") == lineage_hash:
+        if (prev.get("lineage_hash") == lineage_hash
+                and prev.get("rules_fingerprint") == rules_fp):
             return prev
 
     ckpt_root = os.path.join(run_dir, "ckpt")
@@ -290,6 +311,7 @@ def run_flagship(
     manifest = route_alerts(alerts, run_dir,
                             partition_cols=["classification", "part_id"])
     manifest["lineage_hash"] = lineage_hash
+    manifest["rules_fingerprint"] = rules_fp
     with open(manifest_path, "w") as f:
         _json.dump(manifest, f, indent=2, sort_keys=True)
     return manifest

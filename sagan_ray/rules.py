@@ -220,24 +220,6 @@ class Rule:
     _header_src_re: object = field(default=None, repr=False)
     _header_dst_re: object = field(default=None, repr=False)
 
-    @property
-    def gate_literal(self) -> str | None:
-        """Cheapest vectorizable prefilter literal: the longest positive
-        unconstrained-or-not content (Arrow match_substring is cheap)."""
-        pos = [c for c in self.contents if not c.negated]
-        if not pos:
-            return None
-        best = max(pos, key=lambda c: len(c.pattern))
-        return best.pattern
-
-    @property
-    def gate_nocase(self) -> bool:
-        pos = [c for c in self.contents if not c.negated]
-        if not pos:
-            return False
-        best = max(pos, key=lambda c: len(c.pattern))
-        return best.nocase
-
 
 # default classification map (reference: classification.config shipped with
 # the rule corpus; name -> priority)

@@ -1,20 +1,29 @@
 """Vectorized multi-rule matcher — the engine core.
 
 Re-derives the reference's per-event predicate sequence (upstream
-``src/processors/engine.c`` Sagan_Engine: program/facility/level gates →
-content → pcre → meta_content → alert_time) as a per-BATCH evaluation:
+``src/processors/engine.c`` Sagan_Engine: a cheap ``Sagan_strstr``
+literal search first, then program/facility/level gates → content →
+pcre → meta_content → alert_time on the rows that hold the rule's
+literal) as a per-BATCH evaluation in four steps:
 
-* gates and unconstrained content/meta_content run as ``pyarrow.compute``
-  kernels over the whole batch (the SSE2 ``Sagan_strstr`` analogue is
-  Arrow's vectorized ``match_substring``),
-* position-chained contents (offset/depth/distance/within) and
-  non-RE2-compilable pcre fall back to a Python re-check over the (few)
-  candidate rows that survived the vectorized prefilter — the
-  Hyperscan-style literal-prefilter-then-verify pattern from the north
-  star,
-* each matched rule contributes alert rows (url, …, sid, rev, msg,
-  classification, priority); ``text`` is carried through BYTE-IDENTICAL
-  (we only filter rows and append constant columns — never rewrite).
+1. **Literal index.** At ``make_matcher`` time each rule's required
+   literals are derived as an AND of OR-lists (``_literal_groups``):
+   every positive content, every meta_content list, and the longest
+   top-level literal run of each pcre. Per batch, ONE ASCII-case-folded,
+   overlapping Aho–Corasick pass over ``text`` finds every occurrence
+   of every literal (``_LiteralIndex``).
+2. **Per-rule rows.** A rule's candidate rows are the AND of its groups.
+   The index only ever narrows by positive requirements; a rule with no
+   group runs over every row.
+3. **Verify.** ``rule_mask`` runs on the rule's own rows only, and skips
+   the contents and meta_contents the index already decided. Gates,
+   negations, positions and pcre run as ``pyarrow.compute`` kernels;
+   position chains and non-RE2 pcre re-check the (few) candidates in
+   Python.
+4. **One take.** All alert rows of a batch come from one ``take`` of the
+   concatenated per-rule rows (url, …, sid, rev, msg, classification,
+   priority); ``text`` is carried through BYTE-IDENTICAL (rows are
+   taken and constant columns appended — never rewritten).
 
 Stateless: the compiled rule list is captured by closure and broadcast
 with the task definition (rules are small). Use as
@@ -23,6 +32,7 @@ with the task definition (rules are small). Use as
 
 from __future__ import annotations
 
+import threading
 
 import numpy as np
 import pyarrow as pa
@@ -181,14 +191,19 @@ def _header_mask(batch: pa.Table, rule: Rule, n: int) -> np.ndarray:
     return fwd
 
 
-def rule_mask(batch: pa.Table, rule: Rule, text_col: str = "text") -> np.ndarray:
+def rule_mask(batch: pa.Table, rule: Rule, text_col: str = "text",
+              decided=()) -> np.ndarray:
     """Boolean keep-mask for one rule over one Arrow batch.
 
     Gate columns are REQUIRED: a rule that references a column the batch
     schema lacks matches nothing (fail closed — the reference's
     gate-must-match behavior). Enrichment predicates (country/blacklist)
     are included: the pipeline helpers auto-enrich pre-match whenever a
-    rule needs those columns (see flagship.rules_need_enrichment)."""
+    rule needs those columns (see flagship.rules_need_enrichment).
+
+    ``decided`` lists positive contents and meta_contents whose literal
+    every row of ``batch`` is already known to hold (the matcher's
+    literal index); their containment scans are skipped."""
     n = batch.num_rows
     mask = np.ones(n, dtype=bool)
     text = batch[text_col]
@@ -280,6 +295,8 @@ def rule_mask(batch: pa.Table, rule: Rule, text_col: str = "text") -> np.ndarray
     # positions (and negations) only on surviving candidates.
     needs_chain = any(c.constrained for c in rule.contents)
     for c in rule.contents:
+        if c in decided:
+            continue
         col = raw if (c.rawbytes and raw is not None) else text
         if not c.negated:
             mask &= _to_np_bool(pc.match_substring(col, c.pattern, ignore_case=c.nocase))
@@ -315,6 +332,8 @@ def rule_mask(batch: pa.Table, rule: Rule, text_col: str = "text") -> np.ndarray
 
     # --- meta_content: OR over the expanded literal list ---
     for mc in rule.meta_contents:
+        if mc in decided:
+            continue
         any_hit = np.zeros(n, dtype=bool)
         for lit in mc.literals():
             any_hit |= _to_np_bool(pc.match_substring(text, lit, ignore_case=mc.nocase))
@@ -489,53 +508,229 @@ def _extraction_columns(rule: Rule, sub: pa.Table, text_col: str) -> dict:
     return _apply_defaults(cols)
 
 
-def _rule_prefilter_literals(rule: Rule) -> list[tuple[str, bool]] | None:
-    """Literals such that ANY matching row must contain at least one
-    (candidate-superset guarantee), or None if the rule has no such set
-    (pure pcre/gate/time rules must be evaluated over the full batch).
+def _pcre_atom(p) -> tuple[str, bool] | None:
+    """(literal, nocase) that every match of a non-negated pcre contains:
+    its longest run of top-level literal characters, at least 3 long —
+    the required-atom extraction of RE2's FilteredRE2, read with the
+    stdlib regex parser. A top-level alternation, a negated or verbose
+    (``/x``: RE2 would not strip its whitespace) pattern, or one the
+    parser rejects gives None."""
+    import re as _stdre
+    from re import _parser
 
-    A positive content literal is containment-necessary even when
-    position-constrained (the window is a subset of the row). A
-    meta_content OR-list contributes all its literals. rawbytes contents
-    match a different column, so they can't gate the text prefilter."""
-    pos = [c for c in rule.contents if not c.negated and not c.rawbytes]
-    if pos:
-        best = max(pos, key=lambda c: len(c.pattern))
-        return [(best.pattern, best.nocase)]
-    if rule.meta_contents:
-        mc = rule.meta_contents[0]
-        return [(lit, mc.nocase) for lit in mc.literals()]
-    return None
+    if p.negated or p.flags & _stdre.X:
+        return None
+    try:
+        parsed = _parser.parse(p.pattern, p.flags)
+    except (_stdre.error, OverflowError, RecursionError):
+        # syntax only the `regex` module or RE2 reads, a repeat count
+        # past the parser's range, or nesting past Python's stack
+        return None
+    best = run = ""
+    for op, av in parsed:
+        if op is _parser.LITERAL:
+            run += chr(av)
+            continue
+        best, run = max(best, run, key=len), ""
+    best = max(best, run, key=len)
+    if len(best) < 3:
+        return None
+    return best, bool(parsed.state.flags & _stdre.I)
+
+
+def _literal_groups(rule: Rule) -> list[tuple[tuple[str, ...], bool, object]]:
+    """The rule's required literals as an AND of OR-lists
+    ``[(literals, nocase, decides), ...]``: a row the rule matches holds
+    at least one literal of every group. ``decides`` is the Content or
+    MetaContent whose vectorized test in ``rule_mask`` is exactly "holds
+    one of these literals" (positions are left to the chain check), or
+    None for a pcre atom.
+
+    Each positive content is a group even when position-constrained (its
+    window is a subset of the row); rawbytes contents match another
+    column, so they give none. Each meta_content OR-list is a group, and
+    each non-negated pcre its required atom. A nocase group with a
+    non-ASCII literal is left out: Unicode case folding maps the Kelvin
+    sign (U+212A) to ``k`` and the long s (U+017F) to ``s``, which an
+    ASCII-folded search would miss. A group holding an empty literal requires
+    nothing. No group = the rule runs over every row."""
+    groups = [((c.pattern,), c.nocase, c)
+              for c in rule.contents if not c.negated and not c.rawbytes]
+    groups += [(mc.literals(), mc.nocase, mc) for mc in rule.meta_contents]
+    for p in rule.pcres:
+        atom = _pcre_atom(p)
+        if atom is not None:
+            groups.append(((atom[0],), atom[1], None))
+    return [g for g in groups if all(g[0])
+            and not (g[1] and not all(x.isascii() for x in g[0]))]
 
 
 def _union_prefilter_pattern(rules: list[Rule]) -> tuple[str | None, list[Rule], list[Rule]]:
-    """ONE RE2 alternation covering every literal-gated rule — the
-    Hyperscan-style multi-pattern shortlist pass: a single vectorized
-    scan shortlists candidate rows for ALL rules at once, so per-rule
-    kernels touch only the (sparse) candidate subtable. Returns
-    (pattern|None, literal_rules, unfiltered_rules)."""
+    """ONE RE2 alternation that every row some literal-indexed rule
+    matches contains: per rule, its most selective literal group (the
+    one whose shortest literal is longest). Returns (pattern|None,
+    literal-indexed rules, rules that run over every row). The matcher
+    itself indexes all groups (``make_matcher``); this pattern counts
+    the rows that index can shortlist at all."""
     import re as _stdre
 
     lit_rules: list[Rule] = []
     unfiltered: list[Rule] = []
-    alts: list[str] = []
+    alts: set[str] = set()
     for r in rules:
-        lits = _rule_prefilter_literals(r)
-        if lits is None:
+        groups = _literal_groups(r)
+        if not groups:
             unfiltered.append(r)
             continue
         lit_rules.append(r)
-        for lit, nocase in lits:
+        lits, nocase, _ = max(groups, key=lambda g: min(map(len, g[0])))
+        for lit in lits:
             esc = _stdre.escape(lit)
-            alts.append(f"(?i:{esc})" if nocase else esc)
+            alts.add(f"(?i:{esc})" if nocase else esc)
     if not lit_rules:
         return None, [], rules
-    pattern = "|".join(sorted(set(alts)))
-    try:
-        pc.match_substring_regex(pa.array([""], type=pa.string()), pattern)
-    except pa.ArrowInvalid:
-        return None, [], rules
-    return pattern, lit_rules, unfiltered
+    return "|".join(sorted(alts)), lit_rules, unfiltered
+
+
+_POLARS: list = []
+_POLARS_LOCK = threading.Lock()
+
+
+def _polars():
+    """polars, imported on first use (so processes that never match a
+    batch never load it) under a lock, with one warm call: its lazily
+    re-exported submodules race under concurrent first use."""
+    if not _POLARS:
+        with _POLARS_LOCK:
+            if not _POLARS:
+                import polars as pl
+
+                pl.from_arrow(pa.array(["x"])).str.extract_many(
+                    ["x"], ascii_case_insensitive=True, overlapping=True,
+                ).to_arrow(compat_level=pl.CompatLevel.oldest())
+                _POLARS.append(pl)
+    return _POLARS[0]
+
+
+class _LiteralIndex:
+    """The literal groups of a rule list over one shared literal set, so
+    ONE Aho–Corasick pass per batch serves every rule.
+
+    The pass is ASCII-case-folded and overlapping (polars
+    ``str.extract_many``), so it reports every occurrence of every
+    literal with the text it matched. A case-sensitive literal is held
+    by the rows where that text equals it exactly; a nocase literal by
+    the rows where it equals it after ASCII lowercasing, and by every row
+    with a non-ASCII character (Arrow's ``ignore_case`` folds Unicode, an
+    ASCII fold does not)."""
+
+    def __init__(self, rules: list[Rule]):
+        self.exact: dict[str, int] = {}
+        self.folded: dict[str, int] = {}
+        self.groups = []
+        for r in rules:
+            gs = []
+            for lits, nocase, decides in _literal_groups(r):
+                ids = [(self.folded if nocase else self.exact).setdefault(
+                    _ascii_lower(x) if nocase else x,
+                    len(self.exact) + len(self.folded)) for x in lits]
+                gs.append((ids, nocase, decides))
+            self.groups.append(gs)
+        self.patterns = sorted({_ascii_lower(x) for x in self.exact}
+                               | set(self.folded))
+
+    def candidates(self, text: pa.Array) -> list[tuple[np.ndarray | None, list]]:
+        """Per rule, (rows that hold one literal of each of its groups,
+        the predicates that holding them decides on those rows), or
+        (None, []) for a rule without groups: every row, nothing
+        decided."""
+        if not self.patterns:
+            return [(None, [])] * len(self.groups)
+        n = len(text)
+        pl = _polars()
+        found = pl.from_arrow(text).str.extract_many(
+            self.patterns, ascii_case_insensitive=True, overlapping=True,
+        ).to_arrow(compat_level=pl.CompatLevel.oldest())
+        # every occurrence as (literal id, row): the matched texts are few
+        # distinct strings, so map those, not the occurrences
+        occ = pc.dictionary_encode(found.flatten())
+        seen = occ.dictionary.to_pylist()
+        code = np.asarray(occ.indices, dtype=np.int64)
+        rows = np.asarray(found.value_parent_indices(), dtype=np.int64)
+        ids = np.concatenate([
+            np.array([self.exact.get(x, -1) for x in seen], dtype=np.int64)[code],
+            np.array([self.folded.get(_ascii_lower(x), -1) for x in seen],
+                     dtype=np.int64)[code]])
+        rows = np.concatenate([rows, rows])[ids >= 0]
+        ids = ids[ids >= 0]
+        order = np.argsort(ids, kind="stable")
+        lit_rows = np.split(rows[order], np.cumsum(np.bincount(
+            ids, minlength=len(self.exact) + len(self.folded)))[:-1])
+        wide = _non_ascii_rows(text) if self.folded else None
+        out = []
+        for groups in self.groups:
+            if not groups:
+                out.append((None, []))
+                continue
+            keep = np.ones(n, dtype=bool)
+            for lit_ids, nocase, _ in groups:
+                hit = np.zeros(n, dtype=bool)
+                for k in lit_ids:
+                    hit[lit_rows[k]] = True
+                if nocase:
+                    hit[wide] = True
+                keep &= hit
+            cand = np.flatnonzero(keep)
+            # a non-ASCII candidate leaves its nocase groups undecided
+            wide_cand = wide is not None and len(wide) > 0 and np.isin(wide, cand).any()
+            out.append((cand, [d for _, nocase, d in groups
+                               if d is not None and not (nocase and wide_cand)]))
+        return out
+
+
+def _non_ascii_rows(text: pa.Array) -> np.ndarray:
+    """Rows of a string array that hold a byte >= 0x80, read off its
+    data buffer (``pc.string_is_ascii`` costs ~10x more)."""
+    if not pa.types.is_large_string(text.type):
+        text = text.cast(pa.large_string())
+    _validity, offsets, data = text.buffers()
+    offs = np.frombuffer(offsets, dtype=np.int64)[text.offset:text.offset + len(text) + 1]
+    if data is None:
+        return np.empty(0, dtype=np.int64)
+    high = np.flatnonzero(np.frombuffer(data, dtype=np.uint8)[offs[0]:offs[-1]] >= 0x80)
+    return np.unique(np.searchsorted(offs, high + offs[0], side="right") - 1)
+
+
+def _ascii_lower(s: str) -> str:
+    return s.encode().lower().decode()
+
+
+def _rule_rows(batch: pa.Table, rule: Rule, rows: np.ndarray | None,
+               decided: list, text_col: str) -> np.ndarray:
+    """Rows of ``batch`` (from ``rows``, or all) the rule matches:
+    ``rule_mask`` over those rows only, skipping the scans ``decided``
+    lists."""
+    if rows is None:
+        return np.flatnonzero(rule_mask(batch, rule, text_col=text_col))
+    if not len(rows):
+        return rows
+    return rows[rule_mask(batch.take(rows), rule, text_col=text_col,
+                          decided=decided)]
+
+
+def _extracts(rule: Rule) -> bool:
+    """Whether ``_extraction_columns`` gives the rule anything but nulls."""
+    return bool(rule.parse_src_ip or rule.parse_dst_ip or rule.parse_port
+                or rule.parse_hash or rule.normalize or rule.parse_proto
+                or rule.parse_proto_program or rule.default_proto is not None
+                or rule.default_src_port is not None)
+
+
+# enrichment outputs ride along on alerts when present (EVE records carry
+# geo fields in the reference's eve.c output)
+_PASSTHROUGH = {"part_id": pa.string(), "country": pa.string(),
+                "blacklisted": pa.bool_(), "intel_hit": pa.bool_()}
+_CARRIED = ("url", "warc_ts", "host", "lang", "text")
 
 
 def make_matcher(rules: list[Rule], text_col: str = "text"):
@@ -543,81 +738,85 @@ def make_matcher(rules: list[Rule], text_col: str = "text"):
 
     ``pass``-action rules run FIRST and suppress matching rows from all
     alert rules (Snort/Sagan pass semantics); ``alert``/``drop`` rules
-    emit alert rows."""
+    emit alert rows, rule by rule in rule-list order."""
     pass_rules = [r for r in rules if r.action == "pass"]
     rules = [r for r in rules if r.action != "pass"]
-    union_pattern, lit_rules, unfiltered_rules = _union_prefilter_pattern(rules)
-
-    # enrichment outputs ride along on alerts when present (EVE records
-    # carry geo fields in the reference's eve.c output)
-    _PASSTHROUGH = {"part_id": pa.string(), "country": pa.string(),
-                    "blacklisted": pa.bool_(), "intel_hit": pa.bool_()}
+    index = _LiteralIndex(pass_rules + rules)
+    # per-rule alert constants, in the canonical types; a batch's alerts
+    # take them by rule position
+    consts = pa.table({
+        "sid": pa.array([r.sid for r in rules], type=pa.int64()),
+        "rev": pa.array([r.rev for r in rules], type=pa.int32()),
+        "msg": pa.array([r.msg for r in rules], type=pa.string()),
+        "classification": pa.array([r.classtype for r in rules], type=pa.string()),
+        "priority": pa.array([r.priority for r in rules], type=pa.int32()),
+    })
 
     def match_batch(batch: pa.Table) -> pa.Table:
         if batch.column(0).num_chunks > 1:
             # readers deliver many-chunked tables; Arrow kernels over
             # fragmented columns cost ~3x — one contiguous copy up front
             batch = batch.combine_chunks()
-        n = batch.num_rows
         passthrough = [c for c in _PASSTHROUGH if c in batch.column_names]
         empty = _EMPTY_ALERTS
         for c in passthrough:
             empty = empty.append_column(c, pa.array([], type=_PASSTHROUGH[c]))
-        if n == 0:
+        if batch.num_rows == 0:
             return empty
-        if pass_rules:
-            drop = np.zeros(batch.num_rows, dtype=bool)
-            for pr in pass_rules:
-                drop |= rule_mask(batch, pr, text_col=text_col)
-            if drop.any():
-                batch = batch.filter(pa.array(~drop))
-                if batch.num_rows == 0:
-                    return empty
-        out: list[pa.Table] = []
-        # one multi-pattern shortlist pass, then per-rule work on the
-        # candidate subtable only
-        plan: list[tuple[Rule, pa.Table]] = []
-        if union_pattern is not None:
-            any_hit = _to_np_bool(
-                pc.match_substring_regex(batch[text_col], union_pattern)
-            )
-            if any_hit.any():
-                cand = batch.filter(pa.array(any_hit))
-                plan.extend((r, cand) for r in lit_rules)
-        else:
-            plan.extend((r, batch) for r in lit_rules)
-        plan.extend((r, batch) for r in unfiltered_rules)
-        for rule, tbl in plan:
-            mask = rule_mask(tbl, rule, text_col=text_col)
-            if not mask.any():
-                continue
-            sub = tbl.filter(pa.array(mask))
-            m = sub.num_rows
-            ex = _extraction_columns(rule, sub, text_col)
-            cols = {
-                "url": sub["url"],
-                "warc_ts": sub["warc_ts"],
-                "host": sub["host"],
-                "lang": sub["lang"],
-                "text": sub["text"],
-                "sid": pa.array(np.full(m, rule.sid, dtype=np.int64)),
-                "rev": pa.array(np.full(m, rule.rev, dtype=np.int32)),
-                "msg": pa.array([rule.msg] * m, type=pa.string()),
-                "classification": pa.array([rule.classtype] * m, type=pa.string()),
-                "priority": pa.array(np.full(m, rule.priority, dtype=np.int32)),
-                **ex,
-            }
-            for c in passthrough:
-                cols[c] = sub[c]
-            out.append(pa.table(cols))
-        if not out:
+        text = batch[text_col]
+        cands = index.candidates(text.chunk(0) if text.num_chunks == 1
+                                 else text.combine_chunks())
+        passed = np.zeros(batch.num_rows, dtype=bool)
+        for pr, (rows, decided) in zip(pass_rules, cands):
+            passed[_rule_rows(batch, pr, rows, decided, text_col)] = True
+        fired: list[tuple[int, np.ndarray]] = []
+        for j, (rule, (rows, decided)) in enumerate(zip(rules, cands[len(pass_rules):])):
+            if passed.any():
+                rows = np.flatnonzero(~passed) if rows is None else rows[~passed[rows]]
+            hit = _rule_rows(batch, rule, rows, decided, text_col)
+            if len(hit):
+                fired.append((j, hit))
+        if not fired:
             return empty
-        # one chunk out: per-rule emission would otherwise leave one
-        # chunk PER RULE in every alert block, and downstream kernels
-        # over fragmented columns cost ~3x
-        return pa.concat_tables(out).combine_chunks()
+        return _alerts_table(batch, rules, fired, consts, passthrough, text_col)
 
     return match_batch
+
+
+def _alerts_table(batch: pa.Table, rules: list[Rule],
+                  fired: list[tuple[int, np.ndarray]], consts: pa.Table,
+                  passthrough: list[str], text_col: str) -> pa.Table:
+    """All alert rows of a batch from ONE take of the concatenated
+    per-rule rows (``fired``: rule position, its rows), and the per-rule
+    constants from one take of ``consts``. ``text`` is taken, never
+    rewritten. Only rules that extract build extraction columns."""
+    counts = [len(rows) for _, rows in fired]
+    extracting = [_extracts(rules[j]) for j, _ in fired]
+    need = list(_CARRIED) + passthrough
+    if any(extracting):
+        need += [c for c in (text_col, "program")
+                 if c in batch.column_names and c not in need]
+    taken = batch.select(need).take(np.concatenate([rows for _, rows in fired]))
+    const = consts.take(np.repeat([j for j, _ in fired], counts))
+    cols = {c: taken[c] for c in _CARRIED}
+    cols.update(zip(const.column_names, const.columns))
+
+    def nulls(k: int) -> dict:
+        return {f: pa.nulls(k, type=_EMPTY_ALERTS.schema.field(f).type)
+                for f in _EXTRACT_FIELDS}
+
+    if any(extracting):
+        starts = np.cumsum(counts) - counts
+        ex = pa.concat_tables([
+            pa.table(_extraction_columns(rules[j], taken.slice(s, k), text_col)
+                     if e else nulls(k))
+            for (j, _), s, k, e in zip(fired, starts, counts, extracting)])
+    else:
+        ex = pa.table(nulls(taken.num_rows))
+    cols.update((f, ex[f]) for f in _EXTRACT_FIELDS)
+    cols.update((c, taken[c]) for c in passthrough)
+    # one chunk out: downstream kernels over fragmented columns cost ~3x
+    return pa.table(cols).combine_chunks()
 
 
 # the input columns the matcher reads or carries onto alerts

@@ -18,8 +18,6 @@ import pyarrow as pa
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
-from ..schema import ALERTS_SCHEMA
-
 # (last task id, next sequence number) for _sink_token — a plain module
 # global, not thread-local: Ray map tasks run single-threaded per worker
 # process, and the token only has to be stable WITHIN one task lineage
@@ -70,37 +68,6 @@ def _sink_name(lines: list[str], prefix: str, suffix: str) -> str:
     h.update(str(len(lines)).encode())
     return f"{prefix}{h.hexdigest()}-{_sink_token()}{suffix}"
 
-_ALERT_TYPES = {f.name: f.type for f in ALERTS_SCHEMA}
-# extraction + enrichment columns ride on alerts; all-null blocks from
-# pandas round-trips must cast back to these, not stay `null`-typed
-_ALERT_TYPES.update(
-    {
-        "src_ip": pa.string(),
-        "dst_ip": pa.string(),
-        "src_port": pa.int32(),
-        "hash_value": pa.string(),
-        "extracted": pa.string(),
-        "proto": pa.string(),
-        "country": pa.string(),
-        "blacklisted": pa.bool_(),
-        "intel_hit": pa.bool_(),
-        "part_id": pa.string(),
-    }
-)
-
-
-def normalize_alerts(batch: pa.Table) -> pa.Table:
-    """Cast alert columns back to the canonical schema (pandas round-trips
-    in map_groups widen int32→int64); extra columns pass through."""
-    cols = {}
-    for name in batch.column_names:
-        col = batch[name]
-        want = _ALERT_TYPES.get(name)
-        if want is not None and col.type != want:
-            col = col.cast(want)
-        cols[name] = col
-    return pa.table(cols)
-
 
 def route_alerts(
     alerts_ds,
@@ -122,7 +89,6 @@ def route_alerts(
 
             shutil.rmtree(stale)
     os.makedirs(sink_dir, exist_ok=True)
-    alerts_ds = alerts_ds.map_batches(normalize_alerts, batch_format="pyarrow")
     if write_eve:
         # EVE NDJSON (reference src/output-plugins/eve.c): one JSON
         # object per alert line, written as a TEE inside the same pass

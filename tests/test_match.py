@@ -129,3 +129,53 @@ def test_event_id_gate():
         "event_id", pa.array([4624, 1000, 4625], type=pa.int64())
     )
     assert rule_mask(b, r).tolist() == [True, False, True]
+
+
+def _fresh_python(code: str) -> str:
+    import os
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    return subprocess.run([sys.executable, "-c", code], cwd=root, check=True,
+                          capture_output=True, text=True,
+                          timeout=300).stdout.strip()
+
+
+def test_make_matcher_does_not_load_polars():
+    """Building the matcher (as the driver and a fresh set-up do) leaves
+    polars unloaded; it is imported on the first batch."""
+    assert _fresh_python(
+        "import sys\n"
+        "from sagan_ray.pipelines.flagship import DEFAULT_RULES\n"
+        "from sagan_ray.rules import load_rules_file\n"
+        "from sagan_ray.stages.match import make_matcher\n"
+        "make_matcher(load_rules_file(DEFAULT_RULES))\n"
+        "print('polars' in sys.modules)\n") == "False"
+
+
+def test_fresh_matcher_from_four_threads():
+    """Four threads calling a fresh matcher at once, in a process that
+    has not imported polars yet, all get the single-threaded result."""
+    assert _fresh_python(
+        "import sys, threading\n"
+        "import numpy as np\n"
+        "from sagan_ray.pipelines.flagship import DEFAULT_RULES\n"
+        "from sagan_ray.rules import load_rules_file\n"
+        "from sagan_ray.stages.match import make_matcher\n"
+        "from sagan_ray.synth import make_batch\n"
+        "batch = make_batch(np.arange(2000), seed=1)\n"
+        "matcher = make_matcher(load_rules_file(DEFAULT_RULES))\n"
+        "go, got = threading.Barrier(4), []\n"
+        "def run():\n"
+        "    go.wait()\n"
+        "    got.append(matcher(batch))\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "ts = [threading.Thread(target=run) for _ in range(4)]\n"
+        "[t.start() for t in ts]\n"
+        "[t.join(timeout=120) for t in ts]\n"
+        "sys.setswitchinterval(0.005)\n"
+        "want = matcher(batch)\n"
+        "print(len(got), any(t.is_alive() for t in ts), want.num_rows > 0,\n"
+        "      all(g.equals(want) for g in got))\n"
+    ) == "4 False True True"

@@ -7,11 +7,12 @@ import re
 
 import numpy as np
 import pyarrow as pa
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sagan_ray.rules import parse_rule
-from sagan_ray.stages.match import rule_mask
+from sagan_ray.rules import Content, MetaContent, Pcre, Rule, compile_rule, parse_rule
+from sagan_ray.stages.match import make_matcher, rule_mask
 
 WORDS = ["foo", "bar", "baz", "qux", "key", "value", "zap"]
 
@@ -120,3 +121,121 @@ def test_vectorized_matches_naive(contents, pcre_word, use_pcre, texts_words):
     got = rule_mask(batch, rule).tolist()
     want = [naive_match(t, "h", "en", rule) for t in texts]
     assert got == want, f"rule={rule} texts={texts}"
+
+
+# ---------------------------------------------------------------------------
+# make_matcher (literal index → per-rule rows → verify → one take) against
+# rule_mask applied rule by rule to the whole batch
+# ---------------------------------------------------------------------------
+
+KELVIN, LONG_S = "\u212a", "\u017f"  # Kelvin sign, long s
+LITS = ["val", "value", "key", "KEY", "scan", "Scan", "alu", "e",
+        LONG_S + "can", KELVIN + "ey", "café"]
+TEXT_WORDS = ["val", "value", "VALUE", "key", "Key", KELVIN + "ey", "scan",
+              "SCAN", LONG_S + "can", "slow", "fast", "café", "CAFÉ",
+              "valu", "x"]
+PCRES = [r"\bval(ue)?\b", r"(slow|fast) scan", r"key\s*val", r"\b(val|key)\b",
+         r"k.y", r"sc[a]n", r"value$"]
+
+
+def _content(lit, nocase, negated, pos):
+    kw = {}
+    if pos == "window":
+        kw = {"offset": 1, "depth": 12}
+    elif pos == "chain":
+        kw = {"distance": 0, "within": 10}
+    return Content(pattern=lit, nocase=nocase, negated=negated, **kw)
+
+
+content_ir = st.builds(_content, st.sampled_from(LITS), st.booleans(),
+                       st.booleans(), st.sampled_from(["free", "window", "chain"]))
+meta_ir = st.builds(lambda vals, nocase: MetaContent("%sagan%", tuple(vals), nocase),
+                    st.lists(st.sampled_from(LITS), min_size=1, max_size=3),
+                    st.booleans())
+pcre_ir = st.builds(
+    lambda p, i, neg: Pcre(p, re.I if i else 0, f"/{p}/{'i' if i else ''}", neg),
+    st.sampled_from(PCRES), st.booleans(), st.booleans())
+
+
+@st.composite
+def rule_ir(draw, sid):
+    contents = draw(st.lists(content_ir, max_size=3))
+    if contents and contents[0].relative:  # a chain needs a first content
+        contents[0] = Content(contents[0].pattern, contents[0].nocase,
+                              contents[0].negated)
+    return compile_rule(Rule(
+        sid=sid, msg=f"m{sid}", classtype="misc-activity",
+        action=draw(st.sampled_from(["alert"] * 5 + ["pass"])),
+        contents=tuple(contents),
+        meta_contents=tuple(draw(st.lists(meta_ir, max_size=1))),
+        pcres=tuple(draw(st.lists(pcre_ir, max_size=1)))))
+
+
+text_st = st.one_of(
+    st.none(), st.just(""),
+    st.lists(st.sampled_from(TEXT_WORDS), max_size=8).map(" ".join))
+
+
+def _batch(texts):
+    n = len(texts)
+    return pa.table({
+        "url": pa.array([f"u{i}" for i in range(n)]),
+        "warc_ts": pa.array([1_700_000_000_000_000] * n, type=pa.timestamp("us")),
+        "host": pa.array(["h"] * n),
+        "lang": pa.array(["en"] * n),
+        "text": pa.array(texts, type=pa.string()),
+    })
+
+
+def _rows(t):
+    return sorted(zip(t["url"].to_pylist(), t["sid"].to_pylist(),
+                      t["text"].to_pylist()))
+
+
+def _per_rule(batch, rules):
+    """Pass rules drop their rows; then each alert rule's rule_mask over
+    the whole remaining batch."""
+    keep = np.ones(batch.num_rows, dtype=bool)
+    for r in rules:
+        if r.action == "pass":
+            keep &= ~rule_mask(batch, r)
+    batch = batch.filter(pa.array(keep))
+    out = []
+    for r in rules:
+        if r.action != "pass":
+            hit = batch.filter(pa.array(rule_mask(batch, r)))
+            out += [(u, r.sid, t) for u, t in zip(hit["url"].to_pylist(),
+                                                  hit["text"].to_pylist())]
+    return sorted(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(
+           lambda k: st.tuples(*[rule_ir(1000 + i) for i in range(k)])),
+       st.lists(text_st, min_size=1, max_size=12))
+def test_index_never_changes_an_alert(rules, texts):
+    batch = _batch(texts)
+    assert _rows(make_matcher(list(rules))(batch)) == _per_rule(batch, rules)
+
+
+def _rule(**kw):
+    return compile_rule(Rule(sid=kw.pop("sid", 1), **kw))
+
+
+@pytest.mark.parametrize("rule,text", [
+    # Arrow's ignore_case folds Unicode: the Kelvin sign is a K, the long
+    # s an s; an ASCII-folded index alone would miss both rows
+    (_rule(contents=(Content("key", nocase=True),)), "a " + KELVIN + "ey"),
+    (_rule(contents=(Content("scan", nocase=True),)), "slow " + LONG_S + "can"),
+    (_rule(pcres=(Pcre(" scan", re.I, "/ scan/i"),)), "slow " + LONG_S + "can"),
+    (_rule(meta_contents=(MetaContent("%sagan%", ("x", "scan"), True),)),
+     LONG_S + "CAN"),
+    # a nocase non-ASCII pattern matches a plain ASCII row
+    (_rule(contents=(Content(LONG_S + "can", nocase=True),)), "SCAN it"),
+    (_rule(contents=(Content("café", nocase=True),)), "CAFÉ"),
+])
+def test_unicode_case_folding_rows(rule, text):
+    batch = _batch([text, "plain words", None, ""])
+    got = _rows(make_matcher([rule])(batch))
+    assert got == _per_rule(batch, [rule])
+    assert [u for u, _, _ in got] == ["u0"]

@@ -162,7 +162,7 @@ def test_eve_tee_filenames_are_content_addressed(ray_session, tmp_path):
         "warc_ts": pa.array([pd.Timestamp("2024-01-01")] * 2,
                             type=pa.timestamp("us")),
         "sid": pa.array([1, 1], type=pa.int64()),
-        "rev": pa.array([1, 1], type=pa.int64()),
+        "rev": pa.array([1, 1], type=pa.int32()),
         "msg": pa.array(["m", "m"]),
         "classification": pa.array(["c", "c"]),
         "host": pa.array(["h", "h"]),

@@ -288,3 +288,100 @@ def test_dynamic_load_relative_path_resolves_to_rules_file(tmp_path):
     rules = load_rules_file(str(sub / "base.rules"))
     dyn = [r for r in rules if r.dynamic_load][0]
     assert dyn.dynamic_load == str(sub / "extra.rules")
+
+
+def _limit_rule(count: int, msg: str = "hash flood") -> str:
+    return (f'alert any any any -> any any (msg:"{msg}"; content:"hash"; '
+            "classtype:suspicious-traffic; sid:9300001; rev:1; "
+            f"threshold: type limit, track by_host, count {count}, "
+            "seconds 3600;)\n")
+
+
+_PLAIN = ('alert any any any -> any any (msg:"spark"; content:"spark"; '
+          "classtype:misc-activity; sid:9300002; rev:1;)\n")
+
+
+def _reload_waves(tmp_path, monkeypatch, edits):
+    """follow_directory over one landed file holding three ``hash`` hits
+    by one host within one hour, with ``edits[it]`` (rules text, and
+    whether an unrelated file lands) applied after wave ``it``. Returns
+    the per-wave totals and how often stage B routed in each wave."""
+    from sagan_ray.pipelines import flagship
+
+    routes: list[int] = []
+    real_route = flagship.route_alerts
+
+    def counting_route(*a, **kw):
+        routes[-1] += 1
+        return real_route(*a, **kw)
+
+    monkeypatch.setattr(flagship, "route_alerts", counting_route)
+    rules_file = tmp_path / "live.rules"
+    rules_file.write_text(edits[0][0])
+    inp = tmp_path / "in"
+    inp.mkdir()
+    pq.write_table(_docs([(1, "hash one"), (2, "hash two"),
+                          (3, "hash three")]), str(inp / "w1.parquet"))
+    totals: list[int] = []
+    routes.append(0)
+
+    def choreograph(it, manifest):
+        totals.append(manifest["total"])
+        routes.append(0)
+        if it in edits:
+            text, land = edits[it]
+            rules_file.write_text(text)
+            os.utime(rules_file, ns=(it * 10**9, it * 10**9))
+            if land:
+                pq.write_table(_docs([(100 + it, "nothing to see")]),
+                               str(inp / f"w{it + 1}.parquet"))
+
+    flagship.follow_directory(str(inp), str(tmp_path / "run"), rules=None,
+                              poll_s=0, max_iterations=len(edits),
+                              rules_paths=[str(rules_file)],
+                              on_wave=choreograph)
+    return totals, routes[:-1]
+
+
+def test_reload_without_new_file_regates(ray_session, tmp_path, monkeypatch):
+    """A reload from `limit, count 1` to `count 2` with no new file
+    re-gates the checkpoint in that wave: totals [1, 2, 2], not
+    [1, 1, 2] (the old skip waited for an unrelated file to land)."""
+    totals, routes = _reload_waves(tmp_path, monkeypatch, {
+        0: (_limit_rule(1), False),
+        1: (_limit_rule(2), False),
+        2: (_limit_rule(2), True),
+    })
+    assert totals == [1, 2, 2]
+    assert routes == [1, 1, 1]
+
+
+def test_reload_deleting_threshold_rule_regates(ray_session, tmp_path,
+                                                monkeypatch):
+    """Deleting the threshold rule re-gates: its checkpointed alerts
+    no longer have a limit, so all three route."""
+    totals, routes = _reload_waves(tmp_path, monkeypatch, {
+        0: (_limit_rule(1) + _PLAIN, False),
+        1: (_PLAIN, False),
+    })
+    assert totals == [1, 3]
+    assert routes == [1, 1]
+
+
+def test_msg_only_reload_does_not_regate(ray_session, tmp_path, monkeypatch):
+    """A reload that changes only a msg leaves the rules fingerprint,
+    so stage B is skipped and the previous manifest stands."""
+    from sagan_ray.pipelines.flagship import rules_fingerprint
+    from sagan_ray.rules import parse_rules
+
+    def fp(text):
+        return rules_fingerprint(parse_rules(text)[0])
+
+    assert fp(_limit_rule(1)) == fp(_limit_rule(1, msg="renamed"))
+    assert fp(_limit_rule(1)) != fp(_limit_rule(2))
+    totals, routes = _reload_waves(tmp_path, monkeypatch, {
+        0: (_limit_rule(1), False),
+        1: (_limit_rule(1, msg="renamed"), False),
+    })
+    assert totals == [1, 1]
+    assert routes == [1, 0]
