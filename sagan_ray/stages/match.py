@@ -446,22 +446,25 @@ for _f in _EXTRACT_FIELDS:
     _EMPTY_ALERTS = _EMPTY_ALERTS.append_column(_f, pa.array([], type=_t))
 
 
-def _extraction_columns(rule: Rule, sub: pa.Table, text_col: str) -> dict:
+def _null_extraction(m: int) -> dict:
+    return {f: pa.nulls(m, type=_EMPTY_ALERTS.schema.field(f).type)
+            for f in _EXTRACT_FIELDS}
+
+
+def _extraction_columns(rule: Rule, sub: pa.Table, text_col: str) -> dict | None:
     """normalize / parse_* extraction for matched rows (reference:
-    liblognormalize.c + parsers/parse-*.c run only on rule match)."""
+    liblognormalize.c + parsers/parse-*.c run only on rule match), or
+    None for a rule that extracts nothing (all nulls)."""
+    if not (rule.parse_src_ip or rule.parse_dst_ip or rule.parse_port
+            or rule.parse_hash or rule.normalize or rule.parse_proto
+            or rule.parse_proto_program or rule.default_proto is not None
+            or rule.default_src_port is not None):
+        return None
     import json as _json
 
     from ..functions import extract as fx
 
-    m = sub.num_rows
-    cols: dict[str, pa.Array] = {
-        "src_ip": pa.nulls(m, type=pa.string()),
-        "dst_ip": pa.nulls(m, type=pa.string()),
-        "src_port": pa.nulls(m, type=pa.int32()),
-        "hash_value": pa.nulls(m, type=pa.string()),
-        "extracted": pa.nulls(m, type=pa.string()),
-        "proto": pa.nulls(m, type=pa.string()),
-    }
+    cols = _null_extraction(sub.num_rows)
     if rule.parse_proto:
         cols["proto"] = fx.proto_from_text(sub[text_col])
     elif rule.parse_proto_program:
@@ -512,19 +515,31 @@ def _pcre_atom(p) -> tuple[str, bool] | None:
     """(literal, nocase) that every match of a non-negated pcre contains:
     its longest run of top-level literal characters, at least 3 long —
     the required-atom extraction of RE2's FilteredRE2, read with the
-    stdlib regex parser. A top-level alternation, a negated or verbose
-    (``/x``: RE2 would not strip its whitespace) pattern, or one the
-    parser rejects gives None."""
+    stdlib regex parser. The pattern itself runs on RE2 or the `regex`
+    module, so wherever the stdlib parser may read it differently this
+    gives None: a pattern it warns about (a POSIX class such as
+    ``[[:digit:]]`` reads as a set followed by the literal ``]``) or
+    one with a top-level literal brace (RE2 reads ``{,3}`` as text, the
+    `regex` module as a repeat, and ``{e<=1}`` as a fuzzy match). A
+    top-level alternation, a negated or verbose (``/x``: RE2 would not
+    strip its whitespace) pattern, or one the parser rejects gives None
+    too."""
     import re as _stdre
+    import warnings
     from re import _parser
 
     if p.negated or p.flags & _stdre.X:
         return None
     try:
-        parsed = _parser.parse(p.pattern, p.flags)
-    except (_stdre.error, OverflowError, RecursionError):
-        # syntax only the `regex` module or RE2 reads, a repeat count
-        # past the parser's range, or nesting past Python's stack
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", FutureWarning)
+            parsed = _parser.parse(p.pattern, p.flags)
+    except (_stdre.error, FutureWarning, OverflowError, RecursionError):
+        # syntax only the `regex` module or RE2 reads, a construct the
+        # stdlib reads differently, a repeat count past the parser's
+        # range, or nesting past Python's stack
+        return None
+    if (_parser.LITERAL, ord("{")) in parsed.data:
         return None
     best = run = ""
     for op, av in parsed:
@@ -570,8 +585,11 @@ def _union_prefilter_pattern(rules: list[Rule]) -> tuple[str | None, list[Rule],
     matches contains: per rule, its most selective literal group (the
     one whose shortest literal is longest). Returns (pattern|None,
     literal-indexed rules, rules that run over every row). The matcher
-    itself indexes all groups (``make_matcher``); this pattern counts
-    the rows that index can shortlist at all."""
+    does not use it: it ANDs all of a rule's groups, pass rules' too,
+    and counts every row with a non-ASCII byte as holding each nocase
+    literal (``make_matcher``). So the rows this pattern matches, which
+    the benchmark reports as ``match.prefilter_candidates``, hold one
+    group of some rule, not the rows the matcher shortlists."""
     import re as _stdre
 
     lit_rules: list[Rule] = []
@@ -718,14 +736,6 @@ def _rule_rows(batch: pa.Table, rule: Rule, rows: np.ndarray | None,
                           decided=decided)]
 
 
-def _extracts(rule: Rule) -> bool:
-    """Whether ``_extraction_columns`` gives the rule anything but nulls."""
-    return bool(rule.parse_src_ip or rule.parse_dst_ip or rule.parse_port
-                or rule.parse_hash or rule.normalize or rule.parse_proto
-                or rule.parse_proto_program or rule.default_proto is not None
-                or rule.default_src_port is not None)
-
-
 # enrichment outputs ride along on alerts when present (EVE records carry
 # geo fields in the reference's eve.c output)
 _PASSTHROUGH = {"part_id": pa.string(), "country": pa.string(),
@@ -789,30 +799,23 @@ def _alerts_table(batch: pa.Table, rules: list[Rule],
     """All alert rows of a batch from ONE take of the concatenated
     per-rule rows (``fired``: rule position, its rows), and the per-rule
     constants from one take of ``consts``. ``text`` is taken, never
-    rewritten. Only rules that extract build extraction columns."""
+    rewritten."""
     counts = [len(rows) for _, rows in fired]
-    extracting = [_extracts(rules[j]) for j, _ in fired]
     need = list(_CARRIED) + passthrough
-    if any(extracting):
-        need += [c for c in (text_col, "program")
-                 if c in batch.column_names and c not in need]
+    need += [c for c in (text_col, "program")
+             if c in batch.column_names and c not in need]
     taken = batch.select(need).take(np.concatenate([rows for _, rows in fired]))
     const = consts.take(np.repeat([j for j, _ in fired], counts))
     cols = {c: taken[c] for c in _CARRIED}
     cols.update(zip(const.column_names, const.columns))
-
-    def nulls(k: int) -> dict:
-        return {f: pa.nulls(k, type=_EMPTY_ALERTS.schema.field(f).type)
-                for f in _EXTRACT_FIELDS}
-
-    if any(extracting):
-        starts = np.cumsum(counts) - counts
-        ex = pa.concat_tables([
-            pa.table(_extraction_columns(rules[j], taken.slice(s, k), text_col)
-                     if e else nulls(k))
-            for (j, _), s, k, e in zip(fired, starts, counts, extracting)])
+    starts = np.cumsum(counts) - counts
+    ex = [_extraction_columns(rules[j], taken.slice(s, k), text_col)
+          for (j, _), s, k in zip(fired, starts, counts)]
+    if any(e is not None for e in ex):
+        ex = pa.concat_tables([pa.table(_null_extraction(k) if e is None else e)
+                               for e, k in zip(ex, counts)])
     else:
-        ex = pa.table(nulls(taken.num_rows))
+        ex = pa.table(_null_extraction(taken.num_rows))
     cols.update((f, ex[f]) for f in _EXTRACT_FIELDS)
     cols.update((c, taken[c]) for c in passthrough)
     # one chunk out: downstream kernels over fragmented columns cost ~3x

@@ -133,9 +133,9 @@ LITS = ["val", "value", "key", "KEY", "scan", "Scan", "alu", "e",
         LONG_S + "can", KELVIN + "ey", "café"]
 TEXT_WORDS = ["val", "value", "VALUE", "key", "Key", KELVIN + "ey", "scan",
               "SCAN", LONG_S + "can", "slow", "fast", "café", "CAFÉ",
-              "valu", "x"]
+              "valu", "x", "foo1bar", "foo]bar"]
 PCRES = [r"\bval(ue)?\b", r"(slow|fast) scan", r"key\s*val", r"\b(val|key)\b",
-         r"k.y", r"sc[a]n", r"value$"]
+         r"k.y", r"sc[a]n", r"value$", r"foo[[:digit:]]bar"]
 
 
 def _content(lit, nocase, negated, pos):
@@ -233,8 +233,16 @@ def _rule(**kw):
     # a nocase non-ASCII pattern matches a plain ASCII row
     (_rule(contents=(Content(LONG_S + "can", nocase=True),)), "SCAN it"),
     (_rule(contents=(Content("café", nocase=True),)), "CAFÉ"),
+    # RE2 and the regex module read a POSIX class; the stdlib parser reads
+    # a set and then the literal "]bar", which must not become the atom
+    (_rule(pcres=(Pcre(r"foo[[:digit:]]bar", 0, "/foo[[:digit:]]bar/"),)),
+     "foo1bar"),
+    # the regex module reads a fuzzy match (RE2 rejects the lookbehind, so
+    # the rule runs there), which "key" need not literally appear in
+    (_rule(pcres=(Pcre(r"(?<=a)(?:key){e<=1}", 0, "/(?<=a)(?:key){e<=1}/"),)),
+     "akez"),
 ])
-def test_unicode_case_folding_rows(rule, text):
+def test_index_keeps_edge_rows(rule, text):
     batch = _batch([text, "plain words", None, ""])
     got = _rows(make_matcher([rule])(batch))
     assert got == _per_rule(batch, [rule])
