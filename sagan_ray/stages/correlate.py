@@ -34,15 +34,22 @@ Physical shape (scale notes):
   takes the tagged hash exchange (:func:`apply_correlation_fused`:
   :func:`_shuffled` once per plan).
 * The exchange is ONE hash shuffle per plan, keyed on
-  ``gb = hash(logical group key) % NB`` — logical groups are co-located
-  into NB coarse partitions and the gate runs vectorized per partition
-  (no per-tiny-group Python call overhead).
+  ``gb = hash(logical group key) % NB`` (:func:`_gb_hash`, one hash for
+  both families: crc32 of the distinct key strings, sid and bucket
+  mixed in as integers) — logical groups are co-located into NB coarse
+  partitions and the gate runs vectorized per partition (no
+  per-tiny-group Python call overhead).
+* Every kernel runs on Arrow and numpy alone (no pandas): keys come from
+  ``if_else``/``index_in``, group identity from dictionary codes, and
+  the url tie-break is one Arrow sort with nulls last.
 * Tagged rows carry every column, so both physical plans route a row
   with its own values (msg, classification, priority, rev included),
   in the input's column order and types.
-* Hot-host skew: a batch-local pre-prune keeps at most C rows per
-  (sid,key,bucket) per input batch for `limit` rules before the shuffle,
-  so a host with 10^7 hits in one bucket ships O(C·num_batches) rows.
+* Hot-host skew: the correlation tag runs the gate itself
+  (:func:`_gate_partition_pa`) over each input batch with the `limit`
+  specs only, so it keeps at most C rows per (sid,key,bucket) per batch
+  before the shuffle — a host with 10^7 hits in one bucket ships
+  O(C·num_batches) rows — and passes every other row through.
 
 The pandas reference twins of the gate kernels, which the tests compare
 the Arrow-native kernels against, live in ``tests/gate_oracle.py``.
@@ -50,10 +57,10 @@ the Arrow-native kernels against, live in ``tests/gate_oracle.py``.
 
 from __future__ import annotations
 
+import zlib
 from typing import Callable, NamedTuple
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -88,12 +95,10 @@ def _track_col(track: str) -> str:
 def _pair_key_pa(tbl: pa.Table):
     """src_ip|dst_ip composite key as an Arrow string array (nulls ->
     '', missing columns -> '' side), vectorized."""
-    n = tbl.num_rows
-
     def side(name: str):
         if name in tbl.column_names:
-            return pc.fill_null(tbl[name], "")
-        return pa.array([""] * n, type=pa.string())
+            return pc.fill_null(tbl[name].combine_chunks(), "")
+        return pa.repeat(pa.scalar("", pa.string()), tbl.num_rows)
 
     return pc.binary_join_element_wise(side("src_ip"), side("dst_ip"), "|")
 
@@ -120,119 +125,98 @@ def corr_specs(rules: list[Rule]) -> dict[int, dict]:
     return specs
 
 
-def _ts_us(batch: pa.Table) -> np.ndarray:
-    return np.asarray(
-        pc.cast(
-            pc.cast(batch["warc_ts"], pa.timestamp("us")), pa.int64()
-        ).combine_chunks(),
-        dtype=np.int64,
-    )
+# bucket of a null warc_ts: one shared group per (sid, ckey), apart from
+# every real bucket (|ts_us // (seconds * 10^6)| < 10^13), as a NULL
+# does in DuckDB's PARTITION BY
+_NULL_BUCKET = np.iinfo(np.int64).max
 
 
 def _attach_keys(batch: pa.Table, specs: dict[int, dict]) -> pa.Table:
-    """Add ckey (track value) and bucket columns per row, by sid.
+    """Add ckey (track value) and bucket (``floor(epoch_s / seconds)``)
+    columns per row, by sid; a row whose sid has no spec keys to ''.
 
-    Vectorized: per distinct sid (few), not per row."""
-    sid = np.asarray(batch["sid"].combine_chunks(), dtype=np.int64)
-    n = batch.num_rows
-    ts_s = _ts_us(batch) // 1_000_000
-    colcache: dict[str, np.ndarray] = {}
-
-    def col(name: str) -> np.ndarray:
-        if name not in colcache:
-            if name == "ip_pair":
-                vals = np.asarray(_pair_key_pa(batch).to_pandas(), dtype=object)
-            elif name in batch.column_names:
-                vals = np.asarray(batch[name].to_pandas(), dtype=object)
-                vals = np.where(vals == None, "", vals)  # noqa: E711
-            else:
-                vals = np.full(n, "", dtype=object)
-            colcache[name] = vals
-        return colcache[name]
-
-    ckey = np.empty(n, dtype=object)
-    bucket = np.full(n, -1, dtype=np.int64)
+    Vectorized in Arrow: one ``if_else`` per distinct track column (few),
+    the seconds of each row's spec through ``index_in``."""
+    sid = batch["sid"].combine_chunks()
+    spec_sids = pa.array(list(specs), type=pa.int64())
+    by_track: dict[str, list[int]] = {}
     for s, spec in specs.items():
-        m = sid == s
-        if not m.any():
-            continue
-        ckey[m] = col(spec["track"])[m]
-        bucket[m] = ts_s[m] // spec["seconds"]
-    ckey[bucket == -1] = ""
+        by_track.setdefault(spec["track"], []).append(s)
+    ckey = pa.repeat(pa.scalar("", pa.string()), batch.num_rows)
+    for track, sids in by_track.items():
+        if track == "ip_pair":
+            vals = _pair_key_pa(batch)
+        elif track in batch.column_names:
+            vals = pc.cast(batch[track].combine_chunks(), pa.string())
+        else:
+            continue  # missing column keys to '' (the _track_col contract)
+        ckey = pc.if_else(pc.is_in(sid, value_set=pa.array(sids, pa.int64())),
+                          vals, ckey)
+    # seconds -> µs per spec; the last slot serves sids with no spec
+    span_us = np.array([sp["seconds"] for sp in specs.values()] + [1],
+                       dtype=np.int64) * 1_000_000
+    slot = pc.fill_null(pc.index_in(sid, value_set=spec_sids), len(specs))
+    ts = pc.cast(pc.cast(batch["warc_ts"], pa.timestamp("us")), pa.int64())
+    bucket = np.floor_divide(pc.fill_null(ts, 0).to_numpy(),
+                             span_us[slot.to_numpy()])
+    bucket[pc.is_null(ts).to_numpy()] = _NULL_BUCKET
     return batch.append_column(
-        "ckey", pa.array(ckey, type=pa.string())
+        "ckey", pc.fill_null(ckey, "")
     ).append_column("bucket", pa.array(bucket))
 
 
 def _gb_hash(nb: np.uint64, *cols) -> pa.Array:
-    """Coarse co-location key of a logical group key's columns (string
-    columns as object arrays): vectorized siphash chain, % nb. Only
-    controls WHICH partition a logical group lands in — consistency
-    within a run is the only requirement."""
+    """Coarse co-location key of a logical group key's Arrow columns,
+    % nb: a string column hashes its distinct values (crc32), an integer
+    column mixes in as is. Only controls WHICH partition a logical group
+    lands in, so the one requirement is that every worker process of a
+    run agrees — hence no salted ``hash()``."""
     h = np.zeros(len(cols[0]), dtype=np.uint64)
-    for c in cols:
-        h = h * np.uint64(31) + pd.util.hash_array(np.asarray(c))
+    with np.errstate(over="ignore"):  # wraparound is the point
+        for c in cols:
+            if isinstance(c, pa.ChunkedArray):
+                c = c.combine_chunks()
+            if pa.types.is_integer(c.type):
+                v = c.to_numpy().astype(np.uint64)
+            else:
+                enc = pc.dictionary_encode(c, null_encoding="encode")
+                crc = np.array([zlib.crc32(b or b"") for b in
+                                pc.cast(enc.dictionary, pa.binary()).to_pylist()],
+                               dtype=np.uint64)
+                v = crc[enc.indices.to_numpy()]
+            h = h * np.uint64(31) + v
     return pa.array((h % nb).astype(np.int64))
-
-
-def _preprune_mask(kdf: pd.DataFrame, specs: dict[int, dict]) -> np.ndarray:
-    """Keep-mask version of the batch-local limit pre-prune, computed on
-    a KEY-ONLY frame (sid, ckey, bucket, warc_ts, url) so wide columns
-    never round-trip through pandas."""
-    keep = np.ones(len(kdf), dtype=bool)
-    limit_sids = {
-        s for s, sp in specs.items()
-        if sp["kind"] == "threshold" and sp["ttype"] == "limit"
-    }
-    if not limit_sids or kdf.empty:
-        return keep
-    m = kdf["sid"].isin(limit_sids).to_numpy()
-    if not m.any():
-        return keep
-    sub = kdf[m]
-    # NULLS LAST on the url tie-break (the gate's contract; a raw
-    # object-dtype lexsort raises TypeError on None) — numpy sorts NaT
-    # last in the ts key already
-    urls = sub["url"].to_numpy()
-    url_null = pd.isna(urls)
-    order = np.lexsort((np.where(url_null, "", urls), url_null,
-                        sub["warc_ts"].to_numpy()))
-    sub_sorted = sub.iloc[order]
-    rn = sub_sorted.groupby(["sid", "ckey", "bucket"], sort=False).cumcount()
-    counts = {s: sp["count"] for s, sp in specs.items() if s in limit_sids}
-    keep_sorted = (rn < sub_sorted["sid"].map(counts)).to_numpy()
-    keep_sub = np.empty(len(sub), dtype=bool)
-    keep_sub[order] = keep_sorted
-    keep[np.flatnonzero(m)] = keep_sub
-    return keep
 
 
 def _url_tiebreak(order: np.ndarray, new_run: np.ndarray, get_urls) -> None:
     """Sort ``order`` by url, in place, inside each run of tied sort keys
-    (``new_run`` marks the first row of a run): the lexicographic url
-    tie-break, paid only where keys tie. Every key is equal inside a
-    run, so arrays gathered by ``order`` before the call stay valid."""
-    run_starts = np.flatnonzero(new_run)
-    run_ends = np.r_[run_starts[1:], len(order)]
-    long_runs = np.flatnonzero(run_ends - run_starts > 1)
-    if not len(long_runs):
+    (``new_run`` marks the first row of a run), null urls last — DuckDB's
+    ``ORDER BY warc_ts, url``: the lexicographic url tie-break, paid only
+    where keys tie, in ONE stable Arrow sort by (run, url). ``get_urls``
+    returns the urls of the given rows as an Arrow string array. Every
+    key is equal inside a run, so arrays gathered by ``order`` before the
+    call stay valid."""
+    run_len = np.diff(np.r_[np.flatnonzero(new_run), len(order)])
+    in_long = np.repeat(run_len > 1, run_len)
+    if not in_long.any():
         return
-    urls = get_urls(np.concatenate([order[run_starts[ri]:run_ends[ri]]
-                                    for ri in long_runs]))
-    off = 0
-    for ri in long_runs:
-        s0, e0 = run_starts[ri], run_ends[ri]
-        order[s0:e0] = order[s0:e0][np.argsort(urls[off:off + e0 - s0],
-                                               kind="stable")]
-        off += e0 - s0
+    pos = np.flatnonzero(in_long)
+    rows = order[pos]
+    run = np.repeat(np.arange(len(run_len)), run_len)[pos]
+    perm = pc.sort_indices(
+        pa.table({"run": run, "url": get_urls(rows)}),
+        sort_keys=[("run", "ascending"), ("url", "ascending")],
+        null_placement="at_end")
+    order[pos] = rows[perm.to_numpy()]
 
 
 def _gate_order_keep(sid_np: np.ndarray, ckey_codes: np.ndarray,
                      bucket: np.ndarray, ts_dt: np.ndarray,
                      get_urls, specs: dict[int, dict]) -> np.ndarray:
     """Shared gate core -> positional indices of kept rows (in gated
-    order). ``get_urls(rows)`` lazily materializes url strings for the
-    tie-break rows only (both the pandas and Arrow wrappers feed it)."""
+    order); rows of a sid not in ``specs`` are all kept.
+    ``get_urls(rows)`` gives the urls of the tie-break rows only, as an
+    Arrow array (both the pandas and Arrow wrappers feed it)."""
     n = len(sid_np)
     ts = ts_dt.astype(np.int64)
     nat = np.isnat(ts_dt)
@@ -282,12 +266,8 @@ def _str_codes(t: pa.Table, name: str) -> np.ndarray:
     arr = t[name]
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
-    enc = pc.dictionary_encode(arr)
-    codes = enc.indices.to_numpy(zero_copy_only=False)
-    # nulls encode as null indices -> NaN through to_numpy; pin to -1
-    if codes.dtype.kind == "f":
-        codes = np.where(np.isnan(codes), -1, codes)
-    return codes.astype(np.int64)
+    enc = pc.dictionary_encode(arr, null_encoding="encode")
+    return enc.indices.to_numpy().astype(np.int64)
 
 
 def _take_urls(t: pa.Table):
@@ -295,7 +275,7 @@ def _take_urls(t: pa.Table):
         col = t["url"]
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
-        return np.asarray(col.take(pa.array(rows)).to_pylist(), dtype=object)
+        return col.take(pa.array(rows))
 
     return get
 
@@ -304,7 +284,7 @@ def _gate_partition_pa(t: pa.Table, specs: dict[int, dict]) -> pa.Table:
     """Arrow-native threshold/after gate (twin of the pandas
     ``_gate_partition`` in ``tests/gate_oracle.py``): same gate core,
     but the kept rows come back via ``Table.take`` — no Python string
-    objects are created except the tie-break urls."""
+    objects are created."""
     if t.num_rows == 0:
         return t
     idx = _gate_order_keep(
@@ -355,6 +335,8 @@ def correlation_plan(rules: list[Rule]) -> GatePlan | None:
     if not specs:
         return None
     corr_sids = pa.array(list(specs.keys()), type=pa.int64())
+    limit_specs = {s: sp for s, sp in specs.items()
+                   if sp["kind"] == "threshold" and sp["ttype"] == "limit"}
     # modulus captured ONCE at plan build: every task must use the SAME
     # modulus within a run — a mid-run autoscale would otherwise split
     # one logical group across two partitions and double a limit-rule's
@@ -367,18 +349,15 @@ def correlation_plan(rules: list[Rule]) -> GatePlan | None:
         )
 
     def tag(batch: pa.Table) -> pa.Table:
-        # Arrow-native: wide columns (text/url) never round-trip through
-        # pandas — only the key frame does, for the pre-prune and gb
-        sub = batch.filter(pc.is_in(batch["sid"], value_set=corr_sids))
-        sub = _attach_keys(sub, specs)
-        kdf = sub.select(["sid", "ckey", "bucket", "warc_ts",
-                          "url"]).to_pandas()
-        keep = _preprune_mask(kdf, specs)
-        if not keep.all():
-            sub = sub.filter(pa.array(keep))
-            kdf = kdf[keep]
+        sub = _attach_keys(
+            batch.filter(pc.is_in(batch["sid"], value_set=corr_sids)), specs)
+        if limit_specs:
+            # skew guard: the gate itself over this batch, limit sids
+            # only — at most C rows per (sid, ckey, bucket) ship, a
+            # superset of the final winners; other sids pass through
+            sub = _gate_partition_pa(sub, limit_specs)
         return sub.append_column(
-            "gb", _gb_hash(nb, kdf["ckey"], kdf["sid"], kdf["bucket"]))
+            "gb", _gb_hash(nb, sub["ckey"], sub["sid"], sub["bucket"]))
 
     def gate(g: pa.Table) -> pa.Table:
         return _gate_partition_pa(g, specs).drop_columns(_CORR_KEYS + ["gb"])
@@ -404,7 +383,7 @@ def _resolve_partition_pa(t: pa.Table) -> pa.Table:
     machine, differential-tested): per-(xname, xkey) forward-fill is a
     segment cummax over row indices instead of a pandas groupby ffill,
     and kept rows come back via ``Table.take`` — no object columns are
-    materialized except tie-break urls."""
+    materialized."""
     n = t.num_rows
     if n == 0:
         return t
@@ -485,9 +464,7 @@ def xbits_plan(rules: list[Rule]) -> GatePlan | None:
         )
 
     def tag(batch: pa.Table) -> pa.Table:
-        """One row per (alert row, xbit option) — Arrow-native per sid:
-        wide columns never round-trip through pandas (only the key-sized
-        xkey array does, for the gb hash)."""
+        """One row per (alert row, xbit option), Arrow-native per sid."""
         parts: list[pa.Table] = []
         for s, xbs in specs.items():
             rsub = batch.filter(pc.equal(batch["sid"], s))
@@ -502,20 +479,18 @@ def xbits_plan(rules: list[Rule]) -> GatePlan | None:
                     # missing track column keys to '' (one group) — the
                     # _track_col contract, shared with the correlation
                     # family
-                    xkey_col = pa.array([""] * m, type=pa.string())
-                names = np.full(m, xb.name, dtype=object)
+                    xkey_col = pa.repeat(pa.scalar("", pa.string()), m)
+                expire = xb.expire if xb.expire is not None else -1
                 parts.append(
-                    rsub.append_column("xname", pa.array(names, type=pa.string()))
-                    .append_column(
-                        "xaction", pa.array([xb.action] * m, type=pa.string()))
+                    rsub.append_column("xname", pa.repeat(
+                        pa.scalar(xb.name, pa.string()), m))
+                    .append_column("xaction", pa.repeat(
+                        pa.scalar(xb.action, pa.string()), m))
                     .append_column("xkey", xkey_col)
-                    .append_column("xexpire", pa.array(np.full(
-                        m, xb.expire if xb.expire is not None else -1,
-                        dtype=np.int64)))
-                    .append_column("gb", _gb_hash(
-                        nb, names, xkey_col.to_numpy(zero_copy_only=False)))
-                )
-        return pa.concat_tables(parts)
+                    .append_column("xexpire", pa.repeat(
+                        pa.scalar(expire, pa.int64()), m)))
+        t = pa.concat_tables(parts)
+        return t.append_column("gb", _gb_hash(nb, t["xname"], t["xkey"]))
 
     def gate(g: pa.Table) -> pa.Table:
         out = _resolve_partition_pa(g).drop_columns(_XBIT_KEYS + ["gb"])

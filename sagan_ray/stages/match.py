@@ -140,9 +140,12 @@ def _to_np_bool(arr) -> np.ndarray:
 
 def _arrow_regex_pattern(p) -> str | None:
     """Python-flagged pattern -> RE2 pattern with inline flags, or None if
-    RE2 can't compile it (checked once at first use, cached on the rule)."""
+    RE2 can't run it (checked once at first use, cached on the rule).
+    RE2 has no verbose mode, so an ``x`` pattern is left to Python."""
     import re as _stdre
 
+    if p.flags & _stdre.X:
+        return None
     flag_chars = ""
     if p.flags & _stdre.I:
         flag_chars += "i"

@@ -7,6 +7,7 @@ plan is compared against. No product path calls them."""
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 from sagan_ray.functions.exchange import _n_buckets
 from sagan_ray.stages.correlate import (
@@ -47,27 +48,6 @@ def _attach_gb(pdf: pd.DataFrame, cols: list[str],
     return pdf
 
 
-def _preprune_limit(batch: pd.DataFrame, specs: dict[int, dict]) -> pd.DataFrame:
-    """Batch-local skew guard: for `limit` rules keep only the C earliest
-    rows per (sid, ckey, bucket) within this batch — a superset of the
-    final winners (monotone prefix property of row_number<=C)."""
-    limit_sids = {
-        s
-        for s, sp in specs.items()
-        if sp["kind"] == "threshold" and sp["ttype"] == "limit"
-    }
-    if not limit_sids or batch.empty:
-        return batch
-    mask = batch["sid"].isin(limit_sids)
-    if not mask.any():
-        return batch
-    sub = batch[mask].sort_values(["warc_ts", "url"], kind="mergesort")
-    counts = {s: sp["count"] for s, sp in specs.items() if s in limit_sids}
-    rn = sub.groupby(["sid", "ckey", "bucket"], sort=False).cumcount()
-    keep_sub = sub[rn < sub["sid"].map(counts)]
-    return pd.concat([batch[~mask], keep_sub], ignore_index=True)
-
-
 def _gate_partition(g: pd.DataFrame, specs: dict[int, dict]) -> pd.DataFrame:
     """Vectorized gate over one co-location partition (many logical
     groups in one frame).
@@ -89,7 +69,8 @@ def _gate_partition(g: pd.DataFrame, specs: dict[int, dict]) -> pd.DataFrame:
         pd.factorize(g["ckey"], sort=False)[0],
         g["bucket"].to_numpy(dtype=np.int64),
         g["warc_ts"].to_numpy(dtype="datetime64[us]"),
-        lambda rows: g["url"].to_numpy(dtype=object)[rows],
+        lambda rows: pa.array(g["url"].to_numpy(dtype=object)[rows],
+                              type=pa.string(), from_pandas=True),
         specs,
     )
     out = g.iloc[idx]

@@ -175,31 +175,28 @@ def test_preprune_bounds_hot_key():
     """Skew guard: a host with 50k rows in ONE bucket ships at most C
     rows per input batch into the shuffle (not 50k)."""
     import numpy as np
-    import pandas as pd
+    import pyarrow as pa
 
     from sagan_ray.rules import parse_rule
-    from gate_oracle import _preprune_limit
-    from sagan_ray.stages.correlate import corr_specs
+    from sagan_ray.stages.correlate import correlation_plan
 
     rule = parse_rule(
         'alert any any any -> any any (sid:1; content:"x"; '
         "threshold: type limit, track by_host, count 2, seconds 3600;)"
     )
-    specs = corr_specs([rule])
     n = 50_000
-    batch_df = pd.DataFrame(
+    batch = pa.table(
         {
-            "sid": np.full(n, 1),
-            "host": "hot.example.com",
-            "ckey": "hot.example.com",
-            "bucket": np.int64(1),
+            "sid": pa.array(np.full(n, 1), pa.int64()),
+            "host": pa.repeat(pa.scalar("hot.example.com"), n),
             "url": [f"u{i}" for i in range(n)],
-            "warc_ts": pd.to_datetime(np.arange(n), unit="s"),
+            # 1 ms apart: all 50k in the first hour's bucket
+            "warc_ts": pa.array(np.arange(n) * 1_000, pa.timestamp("us")),
         }
     )
-    out = _preprune_limit(batch_df, specs)
-    assert len(out) == 2  # C, not 50k
-    assert sorted(out["url"]) == ["u0", "u1"]  # the earliest two
+    out = correlation_plan([rule]).tag(batch)
+    assert out.num_rows == 2  # C, not 50k
+    assert sorted(out["url"].to_pylist()) == ["u0", "u1"]  # the earliest two
 
 
 def test_pass_rule_suppresses():

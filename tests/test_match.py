@@ -45,6 +45,20 @@ def test_pcre_arrow_and_fallback():
     assert rule_mask(b2, r2).tolist() == [True, False]
 
 
+def test_pcre_verbose_flag_follows_python():
+    """``/x`` ignores pattern whitespace: RE2 cannot, so the pattern is
+    decided by the compiled Python regex on every path."""
+    r = parse_rule('alert any any any -> any any (msg:"m"; sid:1; '
+                   'pcre:"/foo bar/x"; classtype:bad-unknown;)')
+    texts = ["foo bar", "foobar"]
+    want = [bool(r._pcre_compiled[0].search(t)) for t in texts]
+    assert want == [False, True]
+    b = batch(texts)
+    assert rule_mask(b, r).tolist() == want
+    routed = make_matcher([r])(b)["url"].to_pylist()
+    assert routed == [u for u, w in zip(b["url"].to_pylist(), want) if w]
+
+
 def test_gates():
     r = parse_rule(
         'alert any any any -> any any (sid:1; program:"web*"; facility:"en"; content:"x";)'

@@ -283,24 +283,26 @@ def test_strip_frequent_paragraphs(ray_session):
     assert a["text"].iloc[4] == docs[4]
 
 
-def test_preprune_mask_null_urls_sort_last():
-    """None urls in the key frame used to TypeError the object lexsort;
-    the contract is NULLS LAST (matching the gate and the oracle's
-    ORDER BY warc_ts, url)."""
-    import numpy as np
-    import pandas as pd
+def test_preprune_tag_null_urls_sort_last():
+    """The correlation tag's limit pre-prune sorts None urls LAST in a
+    warc_ts tie (matching the gate and the oracle's ORDER BY warc_ts,
+    url); an object sort used to raise TypeError on them."""
+    import pyarrow as pa
 
-    from sagan_ray.stages.correlate import _preprune_mask
+    from sagan_ray.rules import parse_rule
+    from sagan_ray.stages.correlate import correlation_plan
 
-    ts = pd.Timestamp("2026-01-01")
-    kdf = pd.DataFrame({
-        "sid": [1] * 4,
-        "ckey": ["h"] * 4,
-        "bucket": [0] * 4,
-        "warc_ts": [ts] * 4,                    # all tied on time
+    rule = parse_rule(
+        'alert any any any -> any any (sid:1; content:"x"; '
+        "threshold: type limit, track by_host, count 2, seconds 3600;)"
+    )
+    batch = pa.table({
+        "sid": pa.array([1] * 4, pa.int64()),
+        "host": ["h"] * 4,
+        "warc_ts": pa.array([1_767_225_600_000_000] * 4,  # all tied on time
+                            pa.timestamp("us")),
         "url": [None, "b", "a", None],          # nulls must lose ties
     })
-    specs = {1: {"kind": "threshold", "ttype": "limit", "count": 2}}
-    keep = _preprune_mask(kdf, specs)
+    tagged = correlation_plan([rule]).tag(batch)
     # winners of the 2-cap are the two non-null urls (NULLS LAST)
-    assert keep.tolist() == [False, True, True, False]
+    assert sorted(tagged["url"].to_pylist()) == ["a", "b"]
