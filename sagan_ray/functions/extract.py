@@ -3,8 +3,9 @@
 Upstream anchors (capability, not code): ``src/parsers/parse-ip.c``
 (Parse_IP — Nth IP-looking token), ``src/parsers/parse-port.c``,
 ``src/parsers/parse-hash.c`` (first hex token of the right length),
-``src/liblognormalize.c`` (template → named fields). All re-expressed
-as batch kernels over Arrow string arrays.
+``parse-proto.c`` / ``parse-proto-program.c``. All re-expressed as batch
+kernels over Arrow string arrays; ``normalize`` (liblognormalize.c) runs
+the rule's own compiled regex in ``stages.match``.
 """
 
 from __future__ import annotations
@@ -46,13 +47,6 @@ HASH_RES = {
     "sha1": re.compile(r"\b[0-9a-fA-F]{40}\b"),
     "sha256": re.compile(r"\b[0-9a-fA-F]{64}\b"),
 }
-HOST_RE = r"^[a-z][a-z0-9+.-]*://([^/?#]+)"
-
-
-def url_host(url: pa.ChunkedArray | pa.Array) -> pa.Array:
-    """Extract the host component of a URL column (vectorized RE2)."""
-    s = pc.extract_regex(url, HOST_RE)
-    return pc.struct_field(s, [0])
 
 
 def nth_ip(texts: list[str | None], n: int = 1) -> list[str | None]:
@@ -123,21 +117,3 @@ def proto_from_program(programs: pa.Array | pa.ChunkedArray) -> pa.Array:
         for p in programs.to_pylist()
     ]
     return pa.array(vals, type=pa.string())
-
-
-def extract_named(texts: pa.Array | pa.ChunkedArray, pattern: str) -> pa.Array:
-    """Named-group regex -> struct column (vectorized via Arrow RE2 when
-    possible, Python fallback otherwise). Null struct fields on no-match."""
-    try:
-        return pc.extract_regex(texts, pattern)
-    except pa.ArrowInvalid:
-        rx = re.compile(pattern)
-        names = list(rx.groupindex.keys())
-        cols: dict[str, list] = {g: [] for g in names}
-        for t in texts.to_pylist():
-            m = rx.search(t) if t is not None else None
-            for g in names:
-                cols[g].append(m.group(g) if m else None)
-        return pa.StructArray.from_arrays(
-            [pa.array(cols[g], type=pa.string()) for g in names], names
-        )

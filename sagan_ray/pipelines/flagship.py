@@ -175,13 +175,15 @@ def rules_fingerprint(rules: list[Rule]) -> str:
     return hashlib.sha256(_json.dumps(key).encode()).hexdigest()
 
 
+CHUNK_FILES = 64  # input files per stage-A Dataset run (see run_flagship)
+
+
 def run_flagship(
     input_files: list[str],
     run_dir: str,
     rules: list[Rule] | None = None,
     derive_from_documents: bool = True,
     fail_after_partitions: int | None = None,
-    chunk_files: int = 64,
     pre_stage=None,
 ) -> dict:
     """Checkpointed end-to-end run over parquet input files.
@@ -196,7 +198,7 @@ def run_flagship(
     drop its rows as dups on replay; restart the shard actors together
     with a fresh run_dir (or use an idempotent pre_stage) when resuming.
 
-    Stage A streams CHUNKS of up to ``chunk_files`` unfinished input
+    Stage A streams CHUNKS of up to ``CHUNK_FILES`` unfinished input
     files through one Dataset run each (files within a chunk process in
     parallel; per-row ``part_id`` tags keep the checkpoint layout
     partition-addressed), recording lineage after each chunk. Chunking
@@ -222,8 +224,8 @@ def run_flagship(
     done = lineage.completed_partitions(run_dir)
     todo = [(lineage.partition_id(f), f) for f in sorted(input_files)
             if lineage.partition_id(f) not in done]
-    if fail_after_partitions is not None:
-        chunk_files = min(chunk_files, fail_after_partitions)
+    chunk_files = (CHUNK_FILES if fail_after_partitions is None
+                   else min(CHUNK_FILES, fail_after_partitions))
 
     # ---- stage A: parse + match, chunked + checkpointed per partition ----
     ckpt_base = os.path.join(run_dir, "ckpt")

@@ -4,16 +4,29 @@ Re-derives the public rule-option surface of the reference (upstream
 ``src/rules.c`` Load_Rules compiles ``.rules`` text into a global
 ``rulestruct[]`` array; option semantics documented in the Sagan User
 Guide and the Snort/Suricata rule-language docs it deliberately mirrors).
-Pure Python, no Ray: rules are compiled ONCE on the driver and broadcast
-to workers (closure capture / actor ctor args), mirroring the
-reference's load-once-then-read-only array.
+No Ray: rules are compiled ONCE, where they load, and broadcast to
+workers (closure capture / actor ctor args), mirroring the reference's
+load-once-then-read-only array. ``compile_rule`` is the only place a
+rule's regexes are built: each ``pcre`` and ``json_pcre`` on the `regex`
+module (so ``\\p{Lu}`` means the same in both, and a malformed pattern
+fails at load), each pcre's RE2 form for the Arrow kernel (or None when
+RE2 cannot run it), the ``normalize`` regex, the ``program`` globs and
+the header globs. The matcher runs only these compiled forms.
+
+Load-time errors (``ValueError``; the regex and gate errors name the
+sid): a malformed ``pcre``/``json_pcre``; ``nocase``,
+``rawbytes``, ``offset``, ``depth``, ``distance`` or ``within`` with no
+``content`` before it; an xbits option without a name, or a ``track``
+/ ``expire`` without a value; a ``threshold`` ``type`` other than
+``limit``/``suppress``/``threshold``; ``seconds`` below 1, a negative
+``count``, or a ``count`` below 1 with ``type threshold``.
 
 Supported options (SURVEY.md §2.2–2.7):
   msg, sid, rev, classtype, priority, program, facility, level,
   content (+ nocase / offset / depth / distance / within / negation),
   pcre, meta_content (+ meta_nocase, var lists), json_content, json_pcre,
   event_id, normalize (named-group regex), parse_src_ip, parse_port,
-  parse_hash, alert_time, threshold (limit|suppress), after, xbits,
+  parse_hash, alert_time, threshold (limit|suppress|threshold), after, xbits,
   country_code, blacklist, noalert.
 
 Semantics notes (frozen here because /root/reference is empty — these are
@@ -31,6 +44,9 @@ from __future__ import annotations
 
 import re as _stdre
 from dataclasses import dataclass, field
+
+import pyarrow as pa
+import pyarrow.compute as pc
 
 try:  # the `regex` module (PCRE-ish) if present; stdlib re otherwise
     import regex as _re
@@ -86,7 +102,7 @@ class MetaContent:
 
 @dataclass(frozen=True)
 class Threshold:
-    ttype: str  # "limit" | "suppress"
+    ttype: str  # "limit" | "suppress" | "threshold" (every count-th)
     track: str  # "by_host" | "by_lang" | "by_src" (alias of by_host)
     count: int
     seconds: int
@@ -215,6 +231,8 @@ class Rule:
     dynamic_load: str | None = None
     # compiled artifacts (filled by compile_rule)
     _pcre_compiled: tuple = field(default=(), repr=False)
+    _pcre_arrow: tuple = field(default=(), repr=False)  # RE2 pattern | None
+    _json_pcre_compiled: tuple = field(default=(), repr=False)
     _normalize_compiled: object = field(default=None, repr=False)
     _program_re: object = field(default=None, repr=False)
     _header_src_re: object = field(default=None, repr=False)
@@ -413,7 +431,9 @@ def parse_rule(line: str, var_table: dict[str, list[str]] | None = None) -> Rule
     jsonc: list[tuple[str, str]] = []
     jsonp: list[tuple[str, Pcre]] = []
     jsonm: list[tuple[str, tuple[str, ...], bool]] = []
-    pending_meta_nocase = False
+    # a *_nocase written BEFORE its matcher modifies the NEXT matcher,
+    # not whichever happens to be last at rule end
+    pending_meta_nocase = pending_json_nocase = False
 
     for opt in _split_options(body):
         if ":" in opt:
@@ -453,14 +473,11 @@ def parse_rule(line: str, var_table: dict[str, list[str]] | None = None) -> Rule
             if negated:
                 raw = _unquote(raw[1:])
             contents.append(Content(pattern=_decode_hex(raw), negated=negated))
-        elif key == "nocase":
-            contents[-1] = Content(**{**contents[-1].__dict__, "nocase": True})
-        elif key == "rawbytes":
-            contents[-1] = Content(**{**contents[-1].__dict__, "rawbytes": True})
-        elif key in ("offset", "depth", "distance", "within"):
+        elif key in ("nocase", "rawbytes", "offset", "depth", "distance", "within"):
             if not contents:
                 raise ValueError(f"{key} without content")
-            contents[-1] = Content(**{**contents[-1].__dict__, key: int(val)})
+            v = True if key in ("nocase", "rawbytes") else int(val)
+            contents[-1] = Content(**{**contents[-1].__dict__, key: v})
         elif key == "pcre":
             pcres.append(_parse_pcre(val))
         elif key == "meta_content":
@@ -478,8 +495,6 @@ def parse_rule(line: str, var_table: dict[str, list[str]] | None = None) -> Rule
                 values = tuple(_unquote(ref).split("|"))
             metas.append(MetaContent(template=_decode_hex(tpl), values=values,
                                      nocase=pending_meta_nocase))
-            # a meta_nocase written BEFORE its meta_content modifies the
-            # NEXT matcher, not whichever happens to be last at rule end
             pending_meta_nocase = False
         elif key == "meta_nocase":
             if metas:
@@ -503,11 +518,14 @@ def parse_rule(line: str, var_table: dict[str, list[str]] | None = None) -> Rule
                     raise ValueError(f"undefined var {ref}")
             else:
                 values = tuple(_unquote(ref).split("|"))
-            jsonm.append((_unquote(path), values, False))
+            jsonm.append((_unquote(path), values, pending_json_nocase))
+            pending_json_nocase = False
         elif key == "json_meta_nocase":
             if jsonm:
                 pth, vals_, _nc = jsonm[-1]
                 jsonm[-1] = (pth, vals_, True)
+            else:
+                pending_json_nocase = True
         elif key == "event_id":
             r.event_ids = tuple(int(x) for x in _unquote(val).split(",") if x.strip())
         elif key == "normalize":
@@ -558,14 +576,19 @@ def parse_rule(line: str, var_table: dict[str, list[str]] | None = None) -> Rule
                 # keep matching for state
                 r.noalert = True
                 continue
+            if len(toks) < 2 or not toks[1]:
+                raise ValueError(f"{key}:{val} without a name")
             action_x, name = toks[0], toks[1]
             track = "by_host"
             expire = None
             for t in toks[2:]:
+                kv_x = t.split(None, 1)
+                if t.startswith(("track", "expire")) and len(kv_x) < 2:
+                    raise ValueError(f"{key} option {t!r} without a value")
                 if t.startswith("track"):
-                    track = t.split(None, 1)[1].strip()
+                    track = kv_x[1].strip()
                 elif t.startswith("expire"):
-                    expire = int(t.split(None, 1)[1])
+                    expire = int(kv_x[1])
             xbits.append(Xbits(action=action_x, name=name, track=track, expire=expire))
         elif key == "country_code":
             m2 = _stdre.search(r"\b(isnot|is)\s*\[([^\]]*)\]", val)
@@ -588,10 +611,6 @@ def parse_rule(line: str, var_table: dict[str, list[str]] | None = None) -> Rule
         else:
             raise ValueError(f"unknown rule option {key!r} (sid-in-progress {r.sid})")
 
-    if pending_meta_nocase and metas:
-        last = metas[-1]
-        metas[-1] = MetaContent(last.template, last.values, nocase=True)
-
     r.contents = tuple(contents)
     r.pcres = tuple(pcres)
     r.meta_contents = tuple(metas)
@@ -601,26 +620,65 @@ def parse_rule(line: str, var_table: dict[str, list[str]] | None = None) -> Rule
     r.json_metas = tuple(jsonm)
     if r.sid == 0:
         raise ValueError("rule missing sid")
+    _check_gates(r)
     return compile_rule(r)
 
 
+def _check_gates(r: Rule) -> None:
+    """Reject threshold/after values the gate would divide by or read
+    as another type (correlate buckets rows by ``seconds`` and keeps
+    every ``count``-th row of a ``type threshold``)."""
+    for opt, g in (("threshold", r.threshold), ("after", r.after)):
+        if g is None:
+            continue
+        ttype = getattr(g, "ttype", None)
+        if ttype not in (None, "limit", "suppress", "threshold"):
+            raise ValueError(f"sid {r.sid}: unknown threshold type {ttype!r}")
+        if g.seconds < 1:
+            raise ValueError(f"sid {r.sid}: {opt} seconds {g.seconds} < 1")
+        low = 1 if ttype == "threshold" else 0
+        if g.count < low:
+            raise ValueError(f"sid {r.sid}: {opt} count {g.count} < {low}")
+
+
 def compile_rule(r: Rule) -> Rule:
-    """Precompile regexes (once, driver-side — reference compiles PCRE at
-    rule load in Load_Rules)."""
-    r._pcre_compiled = tuple(_re.compile(p.pattern, p.flags) for p in r.pcres)
+    """Compile every regex the matcher runs (once, at load — the
+    reference compiles PCRE at rule load in Load_Rules)."""
+
+    def compile_re(pattern: str, flags: int = 0):
+        try:
+            return _re.compile(pattern, flags)
+        except _re.error as e:
+            raise ValueError(f"sid {r.sid}: bad regex {pattern!r}: {e}") from None
+
+    r._pcre_compiled = tuple(compile_re(p.pattern, p.flags) for p in r.pcres)
+    r._pcre_arrow = tuple(_arrow_regex_pattern(p) for p in r.pcres)
+    r._json_pcre_compiled = tuple(compile_re(p.pattern, p.flags)
+                                  for _, p in r.json_pcres)
     if r.normalize:
-        r._normalize_compiled = _re.compile(r.normalize)
+        r._normalize_compiled = compile_re(r.normalize)
     if r.programs:
-        alts = []
-        for g in r.programs:
-            alts.append(
-                "^" + _stdre.escape(g).replace(r"\*", ".*").replace(r"\?", ".") + "$"
-            )
-        r._program_re = _stdre.compile("|".join(alts))
+        r._program_re = _stdre.compile(_glob_alternation(r.programs))
     if r.header is not None:
         r._header_src_re = _glob_alternation(r.header.src.globs)
         r._header_dst_re = _glob_alternation(r.header.dst.globs)
     return r
+
+
+def _arrow_regex_pattern(p: Pcre) -> str | None:
+    """Python-flagged pattern -> RE2 pattern with inline flags, or None if
+    RE2 can't run it. RE2 has no verbose mode, so an ``x`` pattern is
+    left to Python."""
+    if p.flags & _stdre.X:
+        return None
+    flag_chars = "".join(c for c, f in (("i", _stdre.I), ("s", _stdre.S),
+                                        ("m", _stdre.M)) if p.flags & f)
+    pat = f"(?{flag_chars})" + p.pattern if flag_chars else p.pattern
+    try:
+        pc.match_substring_regex(pa.array([""], type=pa.string()), pat)
+        return pat
+    except pa.ArrowInvalid:
+        return None
 
 
 def _glob_alternation(globs: tuple[str, ...]) -> str | None:

@@ -17,9 +17,12 @@ literal) as a per-BATCH evaluation in four steps:
    group runs over every row.
 3. **Verify.** ``rule_mask`` runs on the rule's own rows only, and skips
    the contents and meta_contents the index already decided. Gates,
-   negations, positions and pcre run as ``pyarrow.compute`` kernels;
-   position chains and non-RE2 pcre re-check the (few) candidates in
-   Python.
+   containment, negations and RE2-runnable pcre run as
+   ``pyarrow.compute`` kernels. A rule with a position-constrained
+   content re-checks its (few) candidates with ``check_content_chain``,
+   the one definition of the chain; a pcre RE2 cannot run, and every
+   json_pcre, re-check theirs with the `regex` pattern ``compile_rule``
+   built at load. Nothing is compiled per batch.
 4. **One take.** All alert rows of a batch come from one ``take`` of the
    concatenated per-rule rows (url, …, sid, rev, msg, classification,
    priority); ``text`` is carried through BYTE-IDENTICAL (rows are
@@ -70,64 +73,6 @@ def check_content_chain(text: str, contents: tuple[Content, ...],
     return True
 
 
-def _chain_plan(rule: Rule) -> list[tuple]:
-    """Flatten the content chain into plain tuples for the hot loop
-    (dataclass attribute access per row per content costs ~10x).
-    Cached ON the rule object — an id()-keyed dict would serve stale
-    plans when ids are recycled after GC."""
-    plan = getattr(rule, "_chain_plan_cache", None)
-    if plan is None:
-        plan = [
-            (
-                c.pattern.lower() if c.nocase else c.pattern,
-                len(c.pattern),
-                c.nocase,
-                c.negated,
-                c.relative,
-                c.offset or 0,
-                c.depth,
-                c.distance or 0,
-                c.within,
-                c.rawbytes,
-            )
-            for c in rule.contents
-        ]
-        rule._chain_plan_cache = plan
-    return plan
-
-
-def _check_chain_fast(text: str, raw: str | None, plan: list[tuple]) -> bool:
-    """Tuple-plan version of check_content_chain (identical semantics)."""
-    prev_end = 0
-    tlow = None
-    for pat, plen, nocase, negated, relative, off, depth, dist, within, rawb in plan:
-        base = raw if (rawb and raw is not None) else text
-        if nocase:
-            if base is text:
-                if tlow is None:
-                    tlow = text.lower()
-                hay = tlow
-            else:
-                hay = base.lower()
-        else:
-            hay = base
-        if relative:
-            start = prev_end + dist
-            stop = start + within if within is not None else len(base)
-        else:
-            start = off
-            stop = start + depth if depth is not None else len(base)
-        idx = hay.find(pat, start if start > 0 else 0)
-        if idx != -1 and idx < stop:
-            if negated:
-                return False
-            prev_end = idx + plen
-        else:
-            if not negated:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # vectorized helpers
 # ---------------------------------------------------------------------------
@@ -136,32 +81,6 @@ def _check_chain_fast(text: str, raw: str | None, plan: list[tuple]) -> bool:
 def _to_np_bool(arr) -> np.ndarray:
     a = arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
     return np.asarray(a.fill_null(False), dtype=bool)
-
-
-def _arrow_regex_pattern(p) -> str | None:
-    """Python-flagged pattern -> RE2 pattern with inline flags, or None if
-    RE2 can't run it (checked once at first use, cached on the rule).
-    RE2 has no verbose mode, so an ``x`` pattern is left to Python."""
-    import re as _stdre
-
-    if p.flags & _stdre.X:
-        return None
-    flag_chars = ""
-    if p.flags & _stdre.I:
-        flag_chars += "i"
-    if p.flags & _stdre.S:
-        flag_chars += "s"
-    if p.flags & _stdre.M:
-        flag_chars += "m"
-    pat = f"(?{flag_chars})" + p.pattern if flag_chars else p.pattern
-    try:
-        pc.match_substring_regex(pa.array([""], type=pa.string()), pat)
-        return pat
-    except pa.ArrowInvalid:
-        return None
-
-
-_ARROW_PCRE_CACHE: dict[tuple[str, int], str | None] = {}
 
 
 def _header_mask(batch: pa.Table, rule: Rule, n: int) -> np.ndarray:
@@ -194,8 +113,7 @@ def _header_mask(batch: pa.Table, rule: Rule, n: int) -> np.ndarray:
     return fwd
 
 
-def rule_mask(batch: pa.Table, rule: Rule, text_col: str = "text",
-              decided=()) -> np.ndarray:
+def rule_mask(batch: pa.Table, rule: Rule, decided=()) -> np.ndarray:
     """Boolean keep-mask for one rule over one Arrow batch.
 
     Gate columns are REQUIRED: a rule that references a column the batch
@@ -209,7 +127,7 @@ def rule_mask(batch: pa.Table, rule: Rule, text_col: str = "text",
     literal index); their containment scans are skipped."""
     n = batch.num_rows
     mask = np.ones(n, dtype=bool)
-    text = batch[text_col]
+    text = batch["text"]
     raw = batch["html_str"] if "html_str" in batch.column_names else None
 
     # --- gates (cheapest first; reference engine order) ---
@@ -319,17 +237,11 @@ def rule_mask(batch: pa.Table, rule: Rule, text_col: str = "text",
             ).to_pylist()
 
         cand = _take(text)
-        raw_cand = _take(raw) if (raw is not None and any(c.rawbytes for c in rule.contents)) else None
-        plan = _chain_plan(rule)
-        check = _check_chain_fast
-        if raw_cand is None:
-            for j, i in enumerate(idxs):
-                if not check(cand[j] or "", None, plan):
-                    mask[i] = False
-        else:
-            for j, i in enumerate(idxs):
-                if not check(cand[j] or "", raw_cand[j], plan):
-                    mask[i] = False
+        raw_cand = (_take(raw) if raw is not None and any(c.rawbytes for c in rule.contents)
+                    else [None] * len(idxs))
+        for i, t, rt in zip(idxs, cand, raw_cand):
+            if not check_content_chain(t or "", rule.contents, rt):
+                mask[i] = False
         if not mask.any():
             return mask
 
@@ -345,11 +257,7 @@ def rule_mask(batch: pa.Table, rule: Rule, text_col: str = "text",
             return mask
 
     # --- pcre: Arrow RE2 when compilable, Python regex re-check otherwise ---
-    for p, crx in zip(rule.pcres, rule._pcre_compiled):
-        key = (p.pattern, p.flags)
-        if key not in _ARROW_PCRE_CACHE:
-            _ARROW_PCRE_CACHE[key] = _arrow_regex_pattern(p)
-        arrow_pat = _ARROW_PCRE_CACHE[key]
+    for p, crx, arrow_pat in zip(rule.pcres, rule._pcre_compiled, rule._pcre_arrow):
         if arrow_pat is not None:
             hit = _to_np_bool(pc.match_substring_regex(text, arrow_pat))
         else:
@@ -418,10 +326,7 @@ def rule_mask(batch: pa.Table, rule: Rule, text_col: str = "text",
         sub = np.ones(len(idxs), dtype=bool)
         for (_, val), col in zip(rule.json_contents, it):
             sub &= _to_np_bool(pc.equal(col, val))
-        for (_, p), col in zip(rule.json_pcres, it):
-            import re as _stdre
-
-            rx = _stdre.compile(p.pattern, p.flags)
+        for (_, p), rx, col in zip(rule.json_pcres, rule._json_pcre_compiled, it):
             vals = pc.fill_null(col, "").to_pylist()
             jm = np.fromiter(
                 (rx.search(v) is not None for v in vals), dtype=bool,
@@ -454,7 +359,7 @@ def _null_extraction(m: int) -> dict:
             for f in _EXTRACT_FIELDS}
 
 
-def _extraction_columns(rule: Rule, sub: pa.Table, text_col: str) -> dict | None:
+def _extraction_columns(rule: Rule, sub: pa.Table) -> dict | None:
     """normalize / parse_* extraction for matched rows (reference:
     liblognormalize.c + parsers/parse-*.c run only on rule match), or
     None for a rule that extracts nothing (all nulls)."""
@@ -469,7 +374,7 @@ def _extraction_columns(rule: Rule, sub: pa.Table, text_col: str) -> dict | None
 
     cols = _null_extraction(sub.num_rows)
     if rule.parse_proto:
-        cols["proto"] = fx.proto_from_text(sub[text_col])
+        cols["proto"] = fx.proto_from_text(sub["text"])
     elif rule.parse_proto_program:
         # the program-analogue column: `program` on FIFO frames, `host`
         # on the webpages schema (the program-gate convention)
@@ -489,7 +394,7 @@ def _extraction_columns(rule: Rule, sub: pa.Table, text_col: str) -> dict | None
     if not (rule.parse_src_ip or rule.parse_dst_ip or rule.parse_port
             or rule.parse_hash or rule.normalize):
         return _apply_defaults(cols)
-    texts = sub[text_col].to_pylist()
+    texts = sub["text"].to_pylist()
     if rule.parse_src_ip:
         cols["src_ip"] = pa.array(
             fx.nth_ip(texts, rule.parse_src_ip), type=pa.string()
@@ -727,16 +632,15 @@ def _ascii_lower(s: str) -> str:
 
 
 def _rule_rows(batch: pa.Table, rule: Rule, rows: np.ndarray | None,
-               decided: list, text_col: str) -> np.ndarray:
+               decided: list) -> np.ndarray:
     """Rows of ``batch`` (from ``rows``, or all) the rule matches:
     ``rule_mask`` over those rows only, skipping the scans ``decided``
     lists."""
     if rows is None:
-        return np.flatnonzero(rule_mask(batch, rule, text_col=text_col))
+        return np.flatnonzero(rule_mask(batch, rule))
     if not len(rows):
         return rows
-    return rows[rule_mask(batch.take(rows), rule, text_col=text_col,
-                          decided=decided)]
+    return rows[rule_mask(batch.take(rows), rule, decided=decided)]
 
 
 # enrichment outputs ride along on alerts when present (EVE records carry
@@ -746,7 +650,7 @@ _PASSTHROUGH = {"part_id": pa.string(), "country": pa.string(),
 _CARRIED = ("url", "warc_ts", "host", "lang", "text")
 
 
-def make_matcher(rules: list[Rule], text_col: str = "text"):
+def make_matcher(rules: list[Rule]):
     """Closure for ``map_batches``: webpages batch -> alerts batch.
 
     ``pass``-action rules run FIRST and suppress matching rows from all
@@ -776,43 +680,43 @@ def make_matcher(rules: list[Rule], text_col: str = "text"):
             empty = empty.append_column(c, pa.array([], type=_PASSTHROUGH[c]))
         if batch.num_rows == 0:
             return empty
-        text = batch[text_col]
+        text = batch["text"]
         cands = index.candidates(text.chunk(0) if text.num_chunks == 1
                                  else text.combine_chunks())
         passed = np.zeros(batch.num_rows, dtype=bool)
         for pr, (rows, decided) in zip(pass_rules, cands):
-            passed[_rule_rows(batch, pr, rows, decided, text_col)] = True
+            passed[_rule_rows(batch, pr, rows, decided)] = True
         fired: list[tuple[int, np.ndarray]] = []
         for j, (rule, (rows, decided)) in enumerate(zip(rules, cands[len(pass_rules):])):
             if passed.any():
                 rows = np.flatnonzero(~passed) if rows is None else rows[~passed[rows]]
-            hit = _rule_rows(batch, rule, rows, decided, text_col)
+            hit = _rule_rows(batch, rule, rows, decided)
             if len(hit):
                 fired.append((j, hit))
         if not fired:
             return empty
-        return _alerts_table(batch, rules, fired, consts, passthrough, text_col)
+        return _alerts_table(batch, rules, fired, consts, passthrough)
 
     return match_batch
 
 
 def _alerts_table(batch: pa.Table, rules: list[Rule],
                   fired: list[tuple[int, np.ndarray]], consts: pa.Table,
-                  passthrough: list[str], text_col: str) -> pa.Table:
+                  passthrough: list[str]) -> pa.Table:
     """All alert rows of a batch from ONE take of the concatenated
     per-rule rows (``fired``: rule position, its rows), and the per-rule
     constants from one take of ``consts``. ``text`` is taken, never
     rewritten."""
     counts = [len(rows) for _, rows in fired]
     need = list(_CARRIED) + passthrough
-    need += [c for c in (text_col, "program")
-             if c in batch.column_names and c not in need]
+    if "program" in batch.column_names:
+        need.append("program")
     taken = batch.select(need).take(np.concatenate([rows for _, rows in fired]))
     const = consts.take(np.repeat([j for j, _ in fired], counts))
     cols = {c: taken[c] for c in _CARRIED}
     cols.update(zip(const.column_names, const.columns))
     starts = np.cumsum(counts) - counts
-    ex = [_extraction_columns(rules[j], taken.slice(s, k), text_col)
+    ex = [_extraction_columns(rules[j], taken.slice(s, k))
           for (j, _), s, k in zip(fired, starts, counts)]
     if any(e is not None for e in ex):
         ex = pa.concat_tables([pa.table(_null_extraction(k) if e is None else e)
@@ -832,7 +736,7 @@ _KEEP = ("url", "warc_ts", "host", "lang", "text", "source", "event_id",
          "proto")  # header proto gate reads it (flow.c)
 
 
-def match_alerts(ds, rules: list[Rule], text_col: str = "text"):
+def match_alerts(ds, rules: list[Rule]):
     """webpages Dataset -> alerts Dataset, as ONE ``map_batches`` stage.
 
     Each batch is first cut to the columns the matcher needs, so html
@@ -843,7 +747,7 @@ def match_alerts(ds, rules: list[Rule], text_col: str = "text"):
     nothing: a stateful stage upstream (the streaming seen-set gate)
     sees each block exactly once, on the real pass."""
     needs_raw = any(c.rawbytes for r in rules for c in r.contents)
-    matcher = make_matcher(rules, text_col=text_col)
+    matcher = make_matcher(rules)
 
     def match_batch(t: pa.Table) -> pa.Table:
         names = t.column_names

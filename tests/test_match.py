@@ -2,6 +2,7 @@
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 from sagan_ray.rules import parse_rule, parse_rules
 from sagan_ray.stages.match import make_matcher, rule_mask
@@ -193,3 +194,84 @@ def test_fresh_matcher_from_four_threads():
         "print(len(got), any(t.is_alive() for t in ts), want.num_rows > 0,\n"
         "      all(g.equals(want) for g in got))\n"
     ) == "4 False True True"
+
+
+# ---------------------------------------------------------------------------
+# json_pcre: compiled at load on the pcre engine (the `regex` module)
+# ---------------------------------------------------------------------------
+
+
+def _props_batch(values):
+    import json
+
+    return batch([f"r{i}" for i in range(len(values))]).append_column(
+        "props", pa.array([json.dumps({"k": v}) for v in values]))
+
+
+def _json_pcre_mask(pcre, values):
+    r = parse_rule(f'alert any any any -> any any (sid:1; json_pcre:".k", {pcre};)')
+    return rule_mask(_props_batch(values), r).tolist()
+
+
+def test_json_pcre():
+    values = ["v12", "V7", "x", 5]
+    assert _json_pcre_mask(r'"/^v\d+$/"', values) == [True, False, False, False]
+    assert _json_pcre_mask(r'!"/^v\d+$/"', values) == [False, True, True, True]
+    assert _json_pcre_mask(r'"/^v\d/i"', values) == [True, True, False, False]
+    # a number reads as its JSON text
+    assert _json_pcre_mask(r'"/^5$/"', values) == [False, False, False, True]
+
+
+def test_json_pcre_unicode_property_as_pcre():
+    """\\p{Lu} means the same in json_pcre as in pcre (one engine)."""
+    values = ["Ax", "ax", "Éx"]
+    assert _json_pcre_mask(r'"/\p{Lu}x/"', values) == [True, False, True]
+    r = parse_rule(r'alert any any any -> any any (sid:1; pcre:"/\p{Lu}x/";)')
+    assert rule_mask(batch(values), r).tolist() == [True, False, True]
+
+
+def test_json_pcre_malformed_fails_at_load():
+    with pytest.raises(ValueError, match="sid 3: bad regex"):
+        parse_rule('alert any any any -> any any (sid:3; json_pcre:".a", "/[unclosed/";)')
+
+
+def test_matcher_compiles_nothing_per_batch(monkeypatch):
+    """compile_rule builds every regex the matcher runs: after one warm
+    call (first-use imports), building a matcher and matching a batch
+    compile nothing, on every regex path."""
+    import json
+    import re
+    import sys
+
+    import regex
+
+    rules, _ = parse_rules("\n".join([
+        'alert any any any -> any any (sid:1; pcre:"/ab+c/i";)',  # RE2
+        # a backreference: RE2 rejects it, the `regex` pattern runs
+        r'alert any any any -> any any (sid:2; pcre:"/(q)\1z/";)',
+        r'alert any any any -> any any (sid:3; json_pcre:".k", "/^v\d/";)',
+        'alert any any any -> any any (sid:4; program:"web*"; content:"hit";)',
+        'alert any [web*] any -> any any (sid:5; content:"hit";)',
+        r'alert any any any -> any any (sid:6; content:"user="; '
+        r'normalize:"user=(?P<user>\w+)";)',
+        'alert any any any -> any any (sid:7; content:"key"; content:"val"; '
+        'distance:1;)',
+    ]))
+    b = batch(["xABBc", "qqz", "hit", "user=bob", "key val", "keyval"],
+              hosts=["h", "h", "web1", "h", "h", "h"]).append_column(
+        "props", pa.array([json.dumps({"k": v}) for v in
+                           ["v1", "x", "x", "x", "x", "x"]]))
+    want = make_matcher(rules)(b)
+    assert sorted(zip(want["sid"].to_pylist(), want["text"].to_pylist())) == [
+        (1, "xABBc"), (2, "qqz"), (3, "xABBc"), (4, "hit"), (5, "hit"),
+        (6, "user=bob"), (7, "key val")]
+    assert '{"user": "bob"}' in want["extracted"].to_pylist()
+
+    def no_compile(*a, **k):
+        raise AssertionError(f"regex compiled while matching: {a!r}")
+
+    # the module-level re.search(...) forms compile through _compile
+    for mod, name in ((re, "compile"), (re, "_compile"), (regex, "compile"),
+                      (sys.modules[regex.search.__module__], "_compile")):
+        monkeypatch.setattr(mod, name, no_compile)
+    assert make_matcher(rules)(b).equals(want)

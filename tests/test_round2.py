@@ -7,8 +7,7 @@ import pyarrow as pa
 import pytest
 
 from sagan_ray.rules import Header, HostSpec, parse_rule, parse_rules
-from sagan_ray.stages.match import (_check_chain_fast, _chain_plan,
-                                    check_content_chain, rule_mask)
+from sagan_ray.stages.match import check_content_chain, make_matcher, rule_mask
 
 
 def batch(texts, hosts=None, langs=None, **extra):
@@ -138,17 +137,27 @@ def test_rawbytes_latin1_high_bytes(ray_session):
     assert out["url"].tolist() == ["u1"]
 
 
-def test_chain_slow_fast_parity_rawbytes():
-    """Regression (ADVICE): unconstrained content bound is len(base) in
-    BOTH checkers — a rawbytes hit beyond len(text) must agree."""
-    r = parse_rule(
+def test_chain_rawbytes_hit_beyond_text_len():
+    """Regression: an unconstrained content's bound is len(base), so a
+    rawbytes hit beyond len(text) matches. rule_mask and make_matcher
+    agree with check_content_chain, for a lone rawbytes content and for
+    one inside a position chain."""
+    rules = [parse_rule(
         'alert any any any -> any any (sid:1; content:"tail"; rawbytes;)'
-    )
-    text = "short"
-    raw = "x" * 50 + "tail"
-    plan = _chain_plan(r)
-    assert check_content_chain(text, r.contents, raw) is True
-    assert _check_chain_fast(text, raw, plan) is True
+    ), parse_rule(
+        'alert any any any -> any any (sid:2; content:"sh"; depth:2; '
+        'content:"tail"; rawbytes;)'
+    )]
+    text, raws = "short", ["x" * 50 + "tail", "x" * 50]
+    # html_str: the latin-1 view of html that match_alerts hands the matcher
+    b = batch([text, text], html_str=pa.array(raws))
+    for r in rules:
+        want = [check_content_chain(text, r.contents, raw) for raw in raws]
+        assert want == [True, False]
+        assert rule_mask(b, r).tolist() == want
+    out = make_matcher(rules)(b)
+    assert sorted(zip(out["sid"].to_pylist(), out["url"].to_pylist())) == [
+        (1, "u0"), (2, "u0")]
 
 
 # ---------------------------------------------------------------------------

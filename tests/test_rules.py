@@ -2,6 +2,8 @@
 
 import re
 
+import pytest
+
 from sagan_ray.rules import load_rules_file, parse_rule, parse_rules
 from sagan_ray.pipelines.flagship import DEFAULT_RULES
 from sagan_ray.stages.match import check_content_chain
@@ -120,3 +122,74 @@ def test_snort_compat_options():
     assert rules[0].xbits[0].name == "brute.force"
     assert rules[1].xbits[0].action == "isset"
     assert rules[2].noalert and not rules[2].xbits
+
+
+# ---------------------------------------------------------------------------
+# load-time errors: a bad option fails in parse_rule, not in a worker
+# ---------------------------------------------------------------------------
+
+BAD_GATES = [
+    ("threshold: type limit, track by_host, count 1, seconds 0;",
+     "sid 7: threshold seconds 0 < 1"),
+    ("after: track by_host, count 1, seconds 0;", "sid 7: after seconds 0 < 1"),
+    ("threshold: type limit, track by_host, count -1, seconds 60;",
+     "sid 7: threshold count -1 < 0"),
+    ("after: track by_host, count -2, seconds 60;", "sid 7: after count -2 < 0"),
+    ("threshold: type threshold, track by_host, count 0, seconds 60;",
+     "sid 7: threshold count 0 < 1"),
+    ("threshold: type limt, track by_host, count 1, seconds 60;",
+     "sid 7: unknown threshold type 'limt'"),
+]
+
+BAD_MODIFIERS = [
+    ('nocase; content:"a";', "nocase without content"),
+    ('rawbytes; content:"a";', "rawbytes without content"),
+    ('content:"a"; xbits:set;', "xbits:set without a name"),
+    ('content:"a"; xbits:set,,track by_host;', "without a name"),
+    ('content:"a"; xbits:set,b,track;', "xbits option 'track' without a value"),
+    ('content:"a"; flowbits:isset,b,expire;', "flowbits option 'expire' without a value"),
+]
+
+
+@pytest.mark.parametrize("opts,msg", BAD_GATES)
+def test_gate_values_rejected_at_load(opts, msg):
+    """A gate that would divide by zero (seconds 0), keep every row
+    (type threshold, count 0) or be read as another type fails at load,
+    naming the sid even when it is written after the gate."""
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        parse_rule(f'alert any any any -> any any (content:"x"; {opts} sid:7;)')
+
+
+def test_gate_boundary_values_parse():
+    for opts in ("threshold: type limit, track by_host, count 0, seconds 1;",
+                 "threshold: type suppress, track by_host, count 0, seconds 1;",
+                 "threshold: type threshold, track by_host, count 1, seconds 1;",
+                 "after: track by_host, count 0, seconds 1;"):
+        parse_rule(f'alert any any any -> any any (content:"x"; {opts} sid:7;)')
+
+
+@pytest.mark.parametrize("opts,msg", BAD_MODIFIERS)
+def test_modifier_without_target_rejected(opts, msg):
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        parse_rule(f"alert any any any -> any any ({opts} sid:8;)")
+
+
+def test_json_meta_nocase_before_its_matcher():
+    """Like meta_nocase, a json_meta_nocase written before its
+    json_meta_content modifies that matcher, and only that one."""
+    r = parse_rule(
+        'alert any any any -> any any (sid:1; json_meta_nocase; '
+        'json_meta_content:".a", WARN; json_meta_content:".b", CRIT;)'
+    )
+    assert [nc for _, _, nc in r.json_metas] == [True, False]
+
+
+@pytest.mark.parametrize("opts", [o for o, _ in BAD_GATES + BAD_MODIFIERS] + [
+    'json_pcre:".a", "/[unclosed/";', 'pcre:"/(?P<x/";'])
+def test_cli_check_reports_invalid(tmp_path, capsys, opts):
+    from sagan_ray.__main__ import main
+
+    f = tmp_path / "f.rules"
+    f.write_text(f"alert any any any -> any any ({opts} sid:9;)\n")
+    assert main(["check", "--rules", str(f)]) == 1
+    assert capsys.readouterr().err.startswith("INVALID: ")
