@@ -5,7 +5,8 @@ Ray-Data restatement of the reference daemon's steady-state path
 → ``src/processors/engine.c`` predicate sequence → ``src/output.c``
 fan-out; see SURVEY.md §3.1):
 
-    read_parquet → map_batches(parse) → [map_batches(enrich): rule gates on it]
+    read_parquet_clean: one read task per file, planned from footers
+      → map_batches(parse) → [map_batches(enrich): rule gates on it]
       → map_batches(match, rules) → materialize (the alert stream)
           read through match: one fused task per input file
       → gate (threshold/after + xbits), one plan list correlate.gate_plans:

@@ -13,8 +13,10 @@ fails at load), each pcre's RE2 form for the Arrow kernel (or None when
 RE2 cannot run it), the ``normalize`` regex, the ``program`` globs and
 the header globs. The matcher runs only these compiled forms.
 
-Load-time errors (``ValueError``; the regex and gate errors name the
-sid): a malformed ``pcre``/``json_pcre``; ``nocase``,
+Load-time errors (``ValueError``; the regex, flag and gate errors name
+the sid): a malformed ``pcre``/``json_pcre``, or one with a flag other
+than ``i``/``s``/``m``/``x`` (Snort's ``R``, ``U``, ``B`` … are not
+implemented, and dropping them would change what matches); ``nocase``,
 ``rawbytes``, ``offset``, ``depth``, ``distance`` or ``within`` with no
 ``content`` before it; an xbits option without a name, or a ``track``
 / ``expire`` without a value; a ``threshold`` ``type`` other than
@@ -620,6 +622,11 @@ def parse_rule(line: str, var_table: dict[str, list[str]] | None = None) -> Rule
     r.json_metas = tuple(jsonm)
     if r.sid == 0:
         raise ValueError("rule missing sid")
+    for p in (*r.pcres, *(p for _, p in r.json_pcres)):
+        for f in p.raw[p.raw.rfind("/") + 1:]:
+            if f not in _PCRE_FLAG_MAP:
+                raise ValueError(f"sid {r.sid}: unsupported pcre flag {f!r} "
+                                 f"in {p.raw!r}")
     _check_gates(r)
     return compile_rule(r)
 

@@ -16,7 +16,8 @@ literal) as a per-BATCH evaluation in four steps:
    The index only ever narrows by positive requirements; a rule with no
    group runs over every row.
 3. **Verify.** ``rule_mask`` runs on the rule's own rows only, and skips
-   the contents and meta_contents the index already decided. Gates,
+   the contents and meta_contents the index already decided; a rule
+   with nothing else to test takes its rows as they are. Gates,
    containment, negations and RE2-runnable pcre run as
    ``pyarrow.compute`` kernels. A rule with a position-constrained
    content re-checks its (few) candidates with ``check_content_chain``,
@@ -327,12 +328,12 @@ def rule_mask(batch: pa.Table, rule: Rule, decided=()) -> np.ndarray:
         for (_, val), col in zip(rule.json_contents, it):
             sub &= _to_np_bool(pc.equal(col, val))
         for (_, p), rx, col in zip(rule.json_pcres, rule._json_pcre_compiled, it):
-            vals = pc.fill_null(col, "").to_pylist()
-            jm = np.fromiter(
-                (rx.search(v) is not None for v in vals), dtype=bool,
-                count=len(vals),
+            vals = col.to_pylist()
+            # a null extraction fails the matcher, negated or not
+            sub &= np.fromiter(
+                (v is not None and (rx.search(v) is None) == p.negated
+                 for v in vals), dtype=bool, count=len(vals),
             )
-            sub &= ~jm if p.negated else jm
         for (_, lits, nocase), col in zip(rule.json_metas, it):
             vals = pc.fill_null(col, "")
             if nocase:
@@ -631,14 +632,31 @@ def _ascii_lower(s: str) -> str:
     return s.encode().lower().decode()
 
 
+def _only_literals(rule: Rule) -> bool:
+    """True when every predicate of the rule is a content or meta_content
+    test that the literal index can decide: no gate, header, position,
+    pcre, enrichment, JSON or alert_time test is left for ``rule_mask``
+    (a test added to ``rule_mask`` must be named here too)."""
+    return not (
+        rule.header is not None or rule.programs or rule.facility is not None
+        or rule.level is not None or rule.tag is not None or rule.event_ids
+        or rule.alert_time is not None or rule.pcres
+        or rule.country_code is not None or rule.blacklist is not None
+        or rule.json_contents or rule.json_pcres or rule.json_metas
+        or any(c.constrained for c in rule.contents))
+
+
 def _rule_rows(batch: pa.Table, rule: Rule, rows: np.ndarray | None,
                decided: list) -> np.ndarray:
     """Rows of ``batch`` (from ``rows``, or all) the rule matches:
     ``rule_mask`` over those rows only, skipping the scans ``decided``
-    lists."""
+    lists. When ``decided`` holds every predicate of the rule, its rows
+    are its matches."""
     if rows is None:
         return np.flatnonzero(rule_mask(batch, rule))
-    if not len(rows):
+    if not len(rows) or (
+            len(decided) == len(rule.contents) + len(rule.meta_contents)
+            and _only_literals(rule)):
         return rows
     return rows[rule_mask(batch.take(rows), rule, decided=decided)]
 

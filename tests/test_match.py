@@ -222,6 +222,36 @@ def test_json_pcre():
     assert _json_pcre_mask(r'"/^5$/"', values) == [False, False, False, True]
 
 
+@pytest.mark.parametrize("pcre,want", [
+    ('"/^v/"', [False, False, True, False]),
+    ('!"/^v/"', [False, False, False, True]),
+])
+def test_json_pcre_missing_key_or_malformed_fails(pcre, want):
+    """A row whose props lack the key or are not JSON fails a json_pcre,
+    negated or not, as it fails a json_content."""
+    props = ["{}", "not json", '{"k": "v"}', '{"k": "w"}']
+    b = batch([f"r{i}" for i in range(4)]).append_column("props", pa.array(props))
+    r = parse_rule(f'alert any any any -> any any (sid:1; json_pcre:".k", {pcre};)')
+    assert rule_mask(b, r).tolist() == want
+    r = parse_rule('alert any any any -> any any (sid:1; json_content:".k", "v";)')
+    assert rule_mask(b, r).tolist() == [False, False, True, False]
+
+
+@pytest.mark.parametrize("extra", [
+    "", 'facility:"de";', 'program:"b*";', "alert_time: hours 0000-0100;",
+    'pcre:"/foo$/";', 'content:"foo"; offset:0; depth:2;', 'content:!"bar";',
+])
+def test_index_decided_rule_keeps_its_other_tests(extra):
+    """A rule whose literals the index decides takes the index's rows
+    only when nothing else is left to test; any other test still runs."""
+    texts = ["foo", "foo bar", "x foo", "nothing"]
+    b = batch(texts, hosts=["a", "b", "b", "a"], langs=["en", "de", "de", "en"],
+              ts=[0, 1, 3_600_000_000 * 5, 2])
+    r = parse_rule(f'alert any any any -> any any (sid:1; content:"foo"; {extra})')
+    want = [t for t, m in zip(texts, rule_mask(b, r)) if m]
+    assert sorted(make_matcher([r])(b)["text"].to_pylist()) == sorted(want)
+
+
 def test_json_pcre_unicode_property_as_pcre():
     """\\p{Lu} means the same in json_pcre as in pcre (one engine)."""
     values = ["Ax", "ax", "Éx"]

@@ -168,6 +168,24 @@ def test_gate_boundary_values_parse():
         parse_rule(f'alert any any any -> any any (content:"x"; {opts} sid:7;)')
 
 
+BAD_PCRE_FLAGS = [
+    ('pcre:"/abc/R";', "sid 7: unsupported pcre flag 'R'"),
+    ('pcre:"/abc/iU";', "sid 7: unsupported pcre flag 'U'"),
+    ('pcre:"/abc/B";', "sid 7: unsupported pcre flag 'B'"),
+    ('json_pcre:".a", "/abc/q";', "sid 7: unsupported pcre flag 'q'"),
+]
+
+
+@pytest.mark.parametrize("opts,msg", BAD_PCRE_FLAGS)
+def test_pcre_flag_rejected_at_load(opts, msg):
+    """A pcre flag outside i/s/m/x fails at load, naming the sid even
+    when it is written after the pcre (it was dropped, so /abc/R matched
+    abc anywhere)."""
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        parse_rule(f"alert any any any -> any any ({opts} sid:7;)")
+    parse_rule('alert any any any -> any any (pcre:"/abc/ismx"; sid:7;)')
+
+
 @pytest.mark.parametrize("opts,msg", BAD_MODIFIERS)
 def test_modifier_without_target_rejected(opts, msg):
     with pytest.raises(ValueError, match=re.escape(msg)):
@@ -184,7 +202,8 @@ def test_json_meta_nocase_before_its_matcher():
     assert [nc for _, _, nc in r.json_metas] == [True, False]
 
 
-@pytest.mark.parametrize("opts", [o for o, _ in BAD_GATES + BAD_MODIFIERS] + [
+@pytest.mark.parametrize("opts", [
+    o for o, _ in BAD_GATES + BAD_MODIFIERS + BAD_PCRE_FLAGS] + [
     'json_pcre:".a", "/[unclosed/";', 'pcre:"/(?P<x/";'])
 def test_cli_check_reports_invalid(tmp_path, capsys, opts):
     from sagan_ray.__main__ import main
