@@ -5,10 +5,11 @@ Ray-Data restatement of the reference daemon's steady-state path
 → ``src/processors/engine.c`` predicate sequence → ``src/output.c``
 fan-out; see SURVEY.md §3.1):
 
-    read_parquet_clean: one read task per file, planned from footers
+    read_parquet_clean: read tasks planned from footers, sized to the
+        host: min(files, max(CPUs, footer bytes / block size))
       → map_batches(parse) → [map_batches(enrich): rule gates on it]
       → map_batches(match, rules) → materialize (the alert stream)
-          read through match: one fused task per input file
+          read through match: one fused task per read task
       → gate (threshold/after + xbits), one plan list correlate.gate_plans:
           [fused], or [correlation, xbits] when a rule mixes the families
           size ≤ target_max_block_size:
@@ -17,9 +18,11 @@ fan-out; see SURVEY.md §3.1):
       → [map_batches(enrich): otherwise]
       → write_parquet(partition_cols=[classification]) → manifest.json
 
-The gate's plan is chosen by :func:`gate_alerts` from the materialized
-stream's size against Ray's own block-size target, so no setting selects
-it. The daemon's stage B switches to the exchange by itself once its
+The gate's plan is chosen by :func:`gate_alerts` from the stream's size
+against Ray's own block-size target, so no setting selects it. The
+daemon's stage B reads that size and the row count off the checkpoint's
+footers, so a wave is 2 executions (the checkpoint write, then read +
+gate + route), and it switches to the exchange by itself once its
 lifetime checkpoint grows past one block.
 
 Stage order and enrichment placement are decided in one function,
@@ -118,29 +121,51 @@ def _compose_alerts(ds, rules: list[Rule], lookups=None,
 
 def gate_alerts(alerts, rules: list[Rule]):
     """Apply correlation + xbits, with the plan chosen by the size of the
-    materialized alert stream.
+    alert stream.
 
     A stream at or under the ``target_max_block_size`` of the
     ``DataContext`` it runs under (Ray's own block-size target; ``None``
     means unbounded) is gated in ONE task
-    (``correlate.gate_in_one_task``): the whole stream is one block, so
+    (``correlate.gate_in_one_task``): the whole stream is one batch, so
     every logical group is already whole and no exchange is needed.
 
     A larger stream takes the tagged hash exchange
     (``correlate.apply_correlation_fused``), once per plan of
     ``correlate.gate_plans``: the fused single-shuffle plan when no rule
-    mixes threshold/after with xbits, else correlation, then xbits."""
-    alerts = _drop_noalert(alerts, rules)
+    mixes threshold/after with xbits, else correlation, then xbits.
+
+    The size and row count are taken before ``noalert`` rows are dropped
+    (an upper bound of what is gated, so the one-task rule stays safe),
+    from Ray's plan when it carries them: a footer-planned checkpoint
+    read is gated inside the execution that routes it. Only a stream
+    of unknown size (the streaming match output) is materialized first,
+    which also pins it against the gate's branches re-running the match."""
     needs_branching = any(r.threshold or r.after or r.xbits for r in rules)
     if not needs_branching:
-        return alerts
-    alerts = alerts.materialize()
+        return _drop_noalert(alerts, rules)
+    if not _size_known(alerts):
+        alerts = alerts.materialize()
+    size, rows = alerts.size_bytes(), alerts.count()
+    alerts = _drop_noalert(alerts, rules)
     block_bytes = alerts.context.target_max_block_size
-    if block_bytes is None or alerts.size_bytes() <= block_bytes:
-        return correlate.gate_in_one_task(alerts, rules)
+    if block_bytes is None or size <= block_bytes:
+        return correlate.gate_in_one_task(alerts, rules, rows)
     # looked up in the module at call time, so a tracer that patches
     # correlate.apply_correlation_fused sees the exchange
     return correlate.apply_correlation_fused(alerts, rules)
+
+
+def _size_known(ds) -> bool:
+    """True when Ray's logical plan already carries ``ds``'s byte size
+    and row count (a footer-planned read, a materialized Dataset), so
+    ``size_bytes()`` and ``count()`` run nothing. Ray reads a known size
+    from ``infer_metadata()`` of the plan's last operator and otherwise
+    executes the whole plan, but has no public predicate for which case
+    applies; this reads the same internal metadata.
+    ``tests/test_read_parquet.py::test_footer_read_sizes_without_executing``
+    fails if a Ray upgrade moves it."""
+    meta = ds._logical_plan.dag.infer_metadata()
+    return meta.size_bytes is not None and meta.num_rows is not None
 
 
 def _drop_noalert(alerts, rules: list[Rule]):
@@ -306,6 +331,8 @@ def run_flagship(
     ckpt_root = os.path.join(run_dir, "ckpt")
     from sagan_ray.sources import read_parquet_clean
 
+    # the read's footers give gate_alerts the checkpoint's size and rows,
+    # so it reads, gates and routes in the route's one execution
     alerts = gate_alerts(read_parquet_clean(ckpt_root), rules)
     # stale-sink cleanup happens inside route_alerts (its own rmtree —
     # one canonical cleanup, no drifting copy here)

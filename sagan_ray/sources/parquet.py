@@ -1,17 +1,22 @@
 """Parquet read planned from file listings and footers.
 
-One ``ReadTask`` per file, each carrying the file's exact row count,
-its uncompressed size and its schema, all taken from the footer on the
-driver. Nothing runs remotely to plan the read (Ray's own parquet
-datasource samples fragments in remote tasks to estimate an encoding
-ratio), and ``Dataset.schema()`` executes nothing.
+Each file's exact row count, uncompressed size and schema are taken
+from its footer on the driver. ``get_read_tasks(parallelism)`` packs
+consecutive files, balanced by those sizes, into at most
+``parallelism`` read tasks, each declaring the summed rows and sizes
+and the unified schema of its files. Nothing runs remotely to plan the
+read (Ray's own parquet datasource samples fragments in remote tasks to
+estimate an encoding ratio), and ``Dataset.schema()``, ``count()`` and
+``size_bytes()`` execute nothing.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+from typing import NamedTuple
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 from ray.data.block import BlockMetadata
@@ -42,24 +47,52 @@ def hive_values(path: str) -> dict[str, str]:
                 if d.count("=") == 1)
 
 
-def _read_file(path: str, columns: list[str] | None,
-               extra: tuple[tuple[str, str], ...]):
-    """The file's rows, one row group at a time, without schema metadata,
-    with a constant string column for each ``extra`` (name, value)."""
-    with pq.ParquetFile(path) as f:
-        for i in range(f.num_row_groups):
-            t = f.read_row_group(i, columns=columns, use_threads=False)
-            if t.num_rows:
-                t = t.replace_schema_metadata(None)
-                for name, value in extra:
-                    t = t.append_column(name, pa.repeat(value, t.num_rows))
-                yield t
+class _File(NamedTuple):
+    """One file's read plan, from its footer."""
+
+    path: str
+    columns: list[str] | None
+    extra: tuple[tuple[str, str], ...]
+    rows: int
+    size: int
+    schema: pa.Schema
+
+
+def _read_files(files: list[_File]):
+    """The rows of each file in turn, one row group at a time, without
+    schema metadata, with a constant string column for each ``extra``
+    (name, value). Ray's block builder combines the tables of files whose
+    schemas differ by null-filling the columns a file lacks."""
+    for f in files:
+        with pq.ParquetFile(f.path) as pf:
+            for i in range(pf.num_row_groups):
+                t = pf.read_row_group(i, columns=f.columns, use_threads=False)
+                if t.num_rows:
+                    t = t.replace_schema_metadata(None)
+                    for name, value in f.extra:
+                        t = t.append_column(name, pa.repeat(value, t.num_rows))
+                    yield t
+
+
+def _pack(sizes: list[int], n: int) -> list[int]:
+    """Bounds ``[0, …, len(sizes)]`` that cut ``sizes`` into ``n``
+    non-empty runs of consecutive items, each cut at the item boundary
+    nearest an equal share of the total."""
+    cum = np.cumsum([0] + sizes)
+    bounds = [0]
+    for k in range(1, n):
+        near = int(np.argmin(np.abs(cum - cum[-1] * k / n)))
+        bounds.append(min(max(near, bounds[-1] + 1), len(sizes) - (n - k)))
+    return bounds + [len(sizes)]
 
 
 class FooterParquetDatasource(Datasource):
-    """``files`` as one read task each, planned from their footers,
-    whatever parallelism Ray asks for (when it asks for more blocks than
-    files, Ray splits each task's output).
+    """``files`` read in at most ``parallelism`` tasks, planned from
+    their footers: ``get_read_tasks`` packs consecutive files, balanced
+    by footer bytes, into ``min(parallelism, files)`` tasks, each
+    declaring its files' summed rows and bytes and their unified schema
+    (when Ray asks for more blocks than tasks, it splits each task's
+    output).
 
     Columns come in ``columns`` order (all, when None); then ``path``
     when ``include_paths``; then a string column for every ``k=v``
@@ -71,7 +104,7 @@ class FooterParquetDatasource(Datasource):
 
     def __init__(self, files: list[str], columns: list[str] | None = None,
                  include_paths: bool = False):
-        self._plan = []
+        self._plan: list[_File] = []
         for path in files:
             meta = pq.read_metadata(path)
             full = meta.schema.to_arrow_schema().remove_metadata()
@@ -86,17 +119,29 @@ class FooterParquetDatasource(Datasource):
             schema = pa.schema(fields + [pa.field(k, pa.string()) for k, _ in extra])
             size = sum(meta.row_group(i).total_byte_size
                        for i in range(meta.num_row_groups))
-            self._plan.append((path, cols, extra, meta.num_rows, size, schema))
+            self._plan.append(_File(path, cols, extra, meta.num_rows, size, schema))
 
     def get_name(self) -> str:
         return "Parquet"
 
     def estimate_inmemory_data_size(self) -> int:
-        return sum(size for _p, _c, _e, _r, size, _s in self._plan)
+        return sum(f.size for f in self._plan)
 
     def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
-        return [ReadTask(functools.partial(_read_file, path, cols, extra),
-                         BlockMetadata(num_rows=rows, size_bytes=size,
-                                       input_files=[path], exec_stats=None),
-                         schema=schema)
-                for path, cols, extra, rows, size, schema in self._plan]
+        n = min(parallelism, len(self._plan))
+        if not n:
+            return []
+        bounds = _pack([f.size for f in self._plan], n)
+        tasks = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            files = self._plan[lo:hi]
+            meta = BlockMetadata(num_rows=sum(f.rows for f in files),
+                                 size_bytes=sum(f.size for f in files),
+                                 input_files=[f.path for f in files],
+                                 exec_stats=None)
+            # permissive, as Ray unifies the schemas of its read tasks
+            schema = pa.unify_schemas([f.schema for f in files],
+                                      promote_options="permissive")
+            tasks.append(ReadTask(functools.partial(_read_files, files),
+                                  meta, schema=schema))
+        return tasks

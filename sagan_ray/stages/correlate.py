@@ -28,11 +28,12 @@ Physical shape (scale notes):
 * The caller materializes/checkpoints the alert stream once before the
   correlation branches (alerts ≪ input) so the expensive match stage is
   never re-executed per branch, and picks the plan by the stream's
-  size: a stream at or under Ray's ``target_max_block_size`` is gated
-  in ONE task (:func:`gate_in_one_task`: one block holds every logical
-  group whole, so there is no sort-shuffle and no union); a larger one
-  takes the tagged hash exchange (:func:`apply_correlation_fused`:
-  :func:`_shuffled` once per plan).
+  size (Ray's plan metadata: a materialized stream's, or a checkpoint
+  read's footers): a stream at or under Ray's ``target_max_block_size``
+  is gated in ONE task (:func:`gate_in_one_task`: one batch holds every
+  logical group whole, so there is no sort-shuffle and no union); a
+  larger one takes the tagged hash exchange
+  (:func:`apply_correlation_fused`: :func:`_shuffled` once per plan).
 * The exchange is ONE hash shuffle per plan, keyed on
   ``gb = hash(logical group key) % NB`` (:func:`_gb_hash`, one hash for
   both families: crc32 of the distinct key strings, sid and bucket
@@ -554,16 +555,19 @@ def gate_plans(rules: list[Rule]) -> list[GatePlan]:
     return [p for p in plans if p is not None]
 
 
-def gate_in_one_task(alerts_ds, rules: list[Rule]):
-    """Gate a materialized stream small enough for ONE block in one
-    task: the row functions of :func:`gate_plans`, with every logical
-    group already whole in the one table — no sort-shuffle, no union,
-    one output block. Every column stays in place and keeps its type.
+def gate_in_one_task(alerts_ds, rules: list[Rule], rows: int):
+    """Gate a stream of known size and rows, small enough for ONE block,
+    in one task: the row functions of :func:`gate_plans`, with every
+    logical group already whole in the one table — no sort-shuffle, no
+    union, one output block. Every column stays in place and keeps its
+    type.
 
-    A batch of the stream's row count (metadata of the materialized
-    stream) makes Ray bundle every block into one task and one batch,
-    without the extra ``repartition(1)`` execution that used to gather
-    the blocks first."""
+    ``rows`` (at least the stream's row count: Ray's plan metadata, or
+    the footers of a checkpoint read) as the batch size makes Ray bundle
+    every block into one task and one batch, without an execution that
+    gathers the blocks first. Ray does not fuse a batch-sized map into
+    an operator that can change the row count (a read, a filter), so a
+    read upstream still runs in its own tasks."""
     plans = gate_plans(rules)
 
     def gate_all(t: pa.Table) -> pa.Table:
@@ -571,9 +575,8 @@ def gate_in_one_task(alerts_ds, rules: list[Rule]):
             t = pa.concat_tables([plan.bypass(t), plan.gate(plan.tag(t))])
         return t
 
-    return alerts_ds.map_batches(
-        gate_all, batch_size=max(alerts_ds.count(), 1),
-        batch_format="pyarrow")
+    return alerts_ds.map_batches(gate_all, batch_size=max(rows, 1),
+                                 batch_format="pyarrow")
 
 
 def _shuffle_width() -> int:
@@ -592,7 +595,8 @@ def apply_correlation_fused(alerts_ds, rules: list[Rule]):
         alerts_ds = alerts_ds.materialize()
         if alerts_ds.num_blocks() > 2 * width:
             # only pay the coalesce when the filtered stream really is
-            # fragmented (reads with override_num_blocks never are)
+            # fragmented (a footer-planned read is max(read tasks, CPUs)
+            # blocks, plus the cuts past target_max_block_size)
             alerts_ds = alerts_ds.repartition(width).materialize()
         alerts_ds = _shuffled(alerts_ds, plan)
     return alerts_ds

@@ -130,9 +130,10 @@ def _write_webpages(tmp_path, layout):
 def test_read_rule_fuses_read_and_match(ray_session, tmp_path, monkeypatch,
                                         layout):
     """With at least as many files as CPUs the read and the match run as
-    ONE fused operator, one task per file (a hive directory counts its
-    files, not its part dirs); one file still splits, to one block per
-    CPU. Every case routes the rows the matcher gives in one process."""
+    ONE fused operator, one task per CPU for files this small (a hive
+    directory counts its files, not its part dirs: its 6 files pack into
+    4 tasks); one file still splits, to one block per CPU. Every case
+    routes the rows the matcher gives in one process."""
     import ray
 
     monkeypatch.setattr(exchange, "cluster_cpus", lambda: 4)
@@ -148,8 +149,8 @@ def test_read_rule_fuses_read_and_match(ray_session, tmp_path, monkeypatch,
         [(op, tasks)] = ops
         assert op.startswith("ReadParquet->")
         assert op.endswith("MapBatches(match_batch)")
-        assert int(tasks) == len(files)
-    assert alerts.num_blocks() == max(len(files), 4)
+        assert int(tasks) == 4
+    assert alerts.num_blocks() == 4
 
     want = make_matcher(rules)(pa.concat_tables(pq.read_table(f) for f in files))
     key = ["url", "sid"]

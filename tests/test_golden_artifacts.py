@@ -63,6 +63,54 @@ def test_eve_ndjson_sink(ray_session, tmp_path):
     assert lines == manifest["total"]
 
 
+def test_eve_tee_retry_rewrites_its_file(ray_session, tmp_path, monkeypatch):
+    """A route task whose worker dies right after its EVE tee wrote a
+    file is retried by Ray, and the retry rewrites the same path
+    (``route._sink_token``: the task id survives the retry, the call
+    sequence restarts in the new process): the EVE lines equal the
+    routed rows, with no duplicate file."""
+    from sagan_ray.pipelines.flagship import alerts_pipeline
+    from sagan_ray.stages import route
+
+    flag = str(tmp_path / "killed.json")
+    tee = route._eve_tee
+
+    def dying_tee(eve_dir):
+        inner = tee(eve_dir)
+
+        def once(batch):
+            before = set(os.listdir(eve_dir))
+            out = inner(batch)
+            try:
+                fd = os.open(flag, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:  # a later attempt or another task
+                return out
+            os.write(fd, json.dumps(sorted(set(os.listdir(eve_dir)) - before))
+                     .encode())
+            os.close(fd)
+            os._exit(1)  # the worker dies after the write
+
+        return once
+
+    monkeypatch.setattr(route, "_eve_tee", dying_tee)
+    out = str(tmp_path / "run")
+    alerts = alerts_pipeline(webpages_from_documents(SF), load_default_rules())
+    manifest = route.route_alerts(alerts, out, write_eve=True)
+    assert manifest["total"] == 2373
+
+    with open(flag) as f:
+        killed_files = json.load(f)
+    eve_dir = os.path.join(out, "eve")
+    assert killed_files and set(killed_files) <= set(os.listdir(eve_dir))
+    eve = []
+    for name in os.listdir(eve_dir):
+        with open(os.path.join(eve_dir, name)) as fh:
+            eve += [json.loads(line) for line in fh]
+    routed = pads.dataset(os.path.join(out, "sinks"), partitioning="hive").to_table()
+    assert sorted((r["url"], r["sid"]) for r in eve) == sorted(
+        zip(routed["url"].to_pylist(), routed["sid"].to_pylist()))
+
+
 def test_fast_log_sink(ray_session, tmp_path):
     import ray.data as rd
 
