@@ -31,6 +31,11 @@ Stage order and enrichment placement are decided in one function,
 ``map_batches`` stage: each worker process builds its lookup
 structures, and opens the mmdb reader when one is configured, once.
 
+The matcher, the gate plans and the lookup tables are built on the
+driver once per Ray session and rule set (tables: per content) and
+reach the workers as one object each (``stages/ship.py``); every UDF
+holds only that object's ref.
+
 Two-stage checkpointed variant (:func:`run_flagship`): stage A
 (parse+match — the expensive scan) checkpoints alerts per input-file
 partition with lineage records; stage B (correlate+route — orders of

@@ -24,7 +24,10 @@ Physical shape (scale notes):
   :func:`xbits_plan`); :func:`fused_plan` composes the two into one
   plan. :func:`gate_plans` is the ONE plan list both physical plans
   run: ``[fused]``, or ``[correlation, xbits]`` when a rule mixes the
-  families. Only the exchange differs between the physical plans.
+  families. Only the exchange differs between the physical plans. Both
+  build the plan list once per Ray session and rule set and ship it to
+  the workers as one object (:func:`_shipped_plans`); their UDFs hold
+  only its ref.
 * The caller materializes/checkpoints the alert stream once before the
   correlation branches (alerts ≪ input) so the expensive match stage is
   never re-executed per branch, and picks the plan by the stream's
@@ -59,6 +62,7 @@ the Arrow-native kernels against, live in ``tests/gate_oracle.py``.
 from __future__ import annotations
 
 import zlib
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -67,6 +71,7 @@ import pyarrow.compute as pc
 
 from ..functions.exchange import _n_buckets, cluster_cpus, shuffle_groups
 from ..rules import Rule
+from .ship import fetch, ship
 
 
 def _track_col(track: str) -> str:
@@ -555,12 +560,43 @@ def gate_plans(rules: list[Rule]) -> list[GatePlan]:
     return [p for p in plans if p is not None]
 
 
+def _shipped_plans(rules: list[Rule]):
+    """The ObjectRef of :func:`gate_plans`, built and put once per Ray
+    session and rule set (``ship.ship``, keyed on the loaded ``Rule``
+    objects). The plans' bucket modulus is captured once with them, so
+    every task of every execution that uses the ref agrees on it."""
+    return ship(("gate", *map(id, rules)), lambda: gate_plans(rules),
+                keep=rules)
+
+
+# the shipped plans' row functions, as module-level UDFs over the ref
+# (their names are the operators' names: ``MapBatches(gate)``, ...)
+def bypass(plans_ref, i: int, batch: pa.Table) -> pa.Table:
+    return fetch(plans_ref)[i].bypass(batch)
+
+
+def tag(plans_ref, i: int, batch: pa.Table) -> pa.Table:
+    return fetch(plans_ref)[i].tag(batch)
+
+
+def gate(plans_ref, i: int, g: pa.Table) -> pa.Table:
+    return fetch(plans_ref)[i].gate(g)
+
+
+def gate_all(plans_ref, t: pa.Table) -> pa.Table:
+    """Every plan over one table that holds every logical group whole."""
+    for plan in fetch(plans_ref):
+        t = pa.concat_tables([plan.bypass(t), plan.gate(plan.tag(t))])
+    return t
+
+
 def gate_in_one_task(alerts_ds, rules: list[Rule], rows: int):
     """Gate a stream of known size and rows, small enough for ONE block,
     in one task: the row functions of :func:`gate_plans`, with every
     logical group already whole in the one table — no sort-shuffle, no
     union, one output block. Every column stays in place and keeps its
-    type.
+    type. The task gets the plans through their shipped ref
+    (:func:`_shipped_plans`), not by value.
 
     ``rows`` (at least the stream's row count: Ray's plan metadata, or
     the footers of a checkpoint read) as the batch size makes Ray bundle
@@ -568,14 +604,8 @@ def gate_in_one_task(alerts_ds, rules: list[Rule], rows: int):
     gathers the blocks first. Ray does not fuse a batch-sized map into
     an operator that can change the row count (a read, a filter), so a
     read upstream still runs in its own tasks."""
-    plans = gate_plans(rules)
-
-    def gate_all(t: pa.Table) -> pa.Table:
-        for plan in plans:
-            t = pa.concat_tables([plan.bypass(t), plan.gate(plan.tag(t))])
-        return t
-
-    return alerts_ds.map_batches(gate_all, batch_size=max(rows, 1),
+    return alerts_ds.map_batches(partial(gate_all, _shipped_plans(rules)),
+                                 batch_size=max(rows, 1),
                                  batch_format="pyarrow")
 
 
@@ -589,9 +619,14 @@ def apply_correlation_fused(alerts_ds, rules: list[Rule]):
     place of correlation then xbits). Each plan's input is materialized
     first (the exchange consumes it twice) and, when fragmented (the
     match stage emits many near-empty filtered blocks, which cost ~10x
-    in shuffle overhead), coalesced to ``_shuffle_width()`` blocks."""
+    in shuffle overhead), coalesced to ``_shuffle_width()`` blocks.
+    Each plan's bypass, tag and gate UDFs reach it through the shipped
+    plans' ref (:func:`_shipped_plans`)."""
     width = _shuffle_width()
-    for plan in gate_plans(rules):
+    ref = _shipped_plans(rules)
+    for i in range(len(fetch(ref))):  # the driver gets the plans once too
+        plan = GatePlan(partial(bypass, ref, i), partial(tag, ref, i),
+                        partial(gate, ref, i))
         alerts_ds = alerts_ds.materialize()
         if alerts_ds.num_blocks() > 2 * width:
             # only pay the coalesce when the filtered stream really is

@@ -29,14 +29,15 @@ literal) as a per-BATCH evaluation in four steps:
    priority); ``text`` is carried through BYTE-IDENTICAL (rows are
    taken and constant columns appended — never rewritten).
 
-Stateless: the compiled rule list is captured by closure and broadcast
-with the task definition (rules are small). Use as
-``ds.map_batches(make_matcher(rules), batch_format="pyarrow")``.
+``make_matcher(rules)`` is the batch function. :func:`match_alerts`
+builds it once per Ray session and rule set and ships it to the workers
+as one object (``stages.ship``), so a task carries only its ref.
 """
 
 from __future__ import annotations
 
 import threading
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
@@ -44,6 +45,7 @@ import pyarrow.compute as pc
 
 from ..rules import Content, Rule
 from ..schema import ALERTS_SCHEMA
+from .ship import fetch, ship
 
 # ---------------------------------------------------------------------------
 # scalar chain semantics (candidates only — documented in rules.py)
@@ -763,21 +765,31 @@ def match_alerts(ds, rules: list[Rule]):
     column for the match only. Both happen inside the stage's UDF,
     per batch, so building the stage reads no schema and executes
     nothing: a stateful stage upstream (the streaming seen-set gate)
-    sees each block exactly once, on the real pass."""
-    needs_raw = any(c.rawbytes for r in rules for c in r.contents)
-    matcher = make_matcher(rules)
+    sees each block exactly once, on the real pass.
 
-    def match_batch(t: pa.Table) -> pa.Table:
-        names = t.column_names
-        sub = t.select([c for c in _KEEP if c in names])
-        if needs_raw and "html" in names:
-            # latin-1, NOT a utf-8-validating cast: real html payloads
-            # carry bytes >0x7F (0xFF etc.) that would raise
-            # ArrowInvalid, and rules.py documents |hex| escapes as
-            # latin-1 codepoints — every byte maps 1:1 to a char
-            vals = [b.decode("latin-1") if b is not None else None
-                    for b in t["html"].to_pylist()]
-            sub = sub.append_column("html_str", pa.array(vals, type=pa.string()))
-        return matcher(sub)
+    The matcher is built by ``make_matcher`` and put in the object store
+    once per Ray session and rule set (``ship.ship``, keyed on the loaded
+    ``Rule`` objects); the UDF holds only its ref, and each worker
+    process unpickles it once."""
+    ref = ship(("match", *map(id, rules)),
+               lambda: (any(c.rawbytes for r in rules for c in r.contents),
+                        make_matcher(rules)),
+               keep=rules)
+    return ds.map_batches(partial(match_batch, ref), batch_format="pyarrow")
 
-    return ds.map_batches(match_batch, batch_format="pyarrow")
+
+def match_batch(matcher_ref, t: pa.Table) -> pa.Table:
+    """The match stage's UDF: cut ``t`` to the matcher's columns, add
+    ``html_str`` when a rule needs rawbytes, match."""
+    needs_raw, matcher = fetch(matcher_ref)
+    names = t.column_names
+    sub = t.select([c for c in _KEEP if c in names])
+    if needs_raw and "html" in names:
+        # latin-1, NOT a utf-8-validating cast: real html payloads
+        # carry bytes >0x7F (0xFF etc.) that would raise
+        # ArrowInvalid, and rules.py documents |hex| escapes as
+        # latin-1 codepoints — every byte maps 1:1 to a char
+        vals = [b.decode("latin-1") if b is not None else None
+                for b in t["html"].to_pylist()]
+        sub = sub.append_column("html_str", pa.array(vals, type=pa.string()))
+    return matcher(sub)

@@ -111,6 +111,54 @@ def test_eve_tee_retry_rewrites_its_file(ray_session, tmp_path, monkeypatch):
         zip(routed["url"].to_pylist(), routed["sid"].to_pylist()))
 
 
+def _parquet_files(sink_dir: str) -> list[str]:
+    return sorted(os.path.relpath(os.path.join(root, f), sink_dir)
+                  for root, _dirs, files in os.walk(sink_dir)
+                  for f in files if f.endswith(".parquet"))
+
+
+def test_sink_write_retry_rewrites_its_files(run_dir, tmp_path, monkeypatch):
+    """A route task whose worker dies inside the parquet write, after it
+    wrote part of its rows, is retried by Ray; the retry writes the same
+    file names (Ray's write uuid and task index survive the retry), so
+    no duplicate or partial sink rows remain: the manifest, routed hash
+    and file count equal an uninterrupted run's."""
+    import ray.data.dataset
+    from ray.data._internal.datasource.parquet_datasink import ParquetDatasink
+
+    flag = str(tmp_path / "killed.json")
+
+    class DyingSink(ParquetDatasink):
+        def _write_parquet_files(self, tables, filename, *args):
+            try:
+                fd = os.open(flag, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:  # a later attempt or another task
+                return super()._write_parquet_files(tables, filename, *args)
+            half = [t.slice(0, t.num_rows // 2) for t in tables]
+            super()._write_parquet_files(half, filename, *args)
+            written = [os.path.relpath(os.path.join(root, f), self.path)
+                       for root, _dirs, files in os.walk(self.path)
+                       for f in files]  # this class pickles by value
+            os.write(fd, json.dumps(written).encode())
+            os.close(fd)
+            os._exit(1)  # the worker dies inside the write
+
+    monkeypatch.setattr(ray.data.dataset, "ParquetDatasink", DyingSink)
+    out = str(tmp_path / "run")
+    manifest = run_streaming(webpages_from_documents(SF), load_default_rules(), out)
+
+    with open(flag) as f:
+        killed_files = json.load(f)
+    sinks = os.path.join(out, "sinks")
+    assert killed_files and set(killed_files) <= set(_parquet_files(sinks))
+    with open(os.path.join(run_dir, "manifest.json")) as f:
+        assert manifest == json.load(f)
+    assert manifest["total"] == 2373
+    assert routed_hash(sinks) == routed_hash(os.path.join(run_dir, "sinks"))
+    assert len(_parquet_files(sinks)) == len(
+        _parquet_files(os.path.join(run_dir, "sinks")))
+
+
 def test_fast_log_sink(ray_session, tmp_path):
     import ray.data as rd
 

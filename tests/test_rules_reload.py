@@ -385,3 +385,33 @@ def test_msg_only_reload_does_not_regate(ray_session, tmp_path, monkeypatch):
     })
     assert totals == [1, 1]
     assert routes == [1, 0]
+
+
+def test_msg_only_reload_routes_the_new_msg(ray_session, tmp_path):
+    """A reload that changes only a rule's msg matches the next wave's
+    file under the new msg: the shipped matcher is keyed on the loaded
+    rules, not on the gate's rules fingerprint (which ignores msg)."""
+    from sagan_ray.pipelines.flagship import follow_directory
+
+    rules_file = tmp_path / "live.rules"
+    rules_file.write_text(_R1)
+    inp = tmp_path / "in"
+    inp.mkdir()
+    run_dir = str(tmp_path / "run")
+    pq.write_table(_docs([(1, "spark one")]), str(inp / "w1.parquet"))
+
+    def choreograph(it, _manifest):
+        if it == 1:
+            rules_file.write_text(_R1.replace("spark v1", "spark renamed"))
+            os.utime(rules_file)
+            pq.write_table(_docs([(2, "spark two")]), str(inp / "w2.parquet"))
+
+    m = follow_directory(str(inp), run_dir, rules=None, poll_s=0.05,
+                         max_iterations=2, rules_paths=[str(rules_file)],
+                         on_wave=choreograph)
+    routed = pads.dataset(os.path.join(run_dir, "sinks"),
+                          partitioning="hive").to_table()
+    by_doc = {u.rsplit("/", 1)[-1]: msg for u, msg in
+              zip(routed["url"].to_pylist(), routed["msg"].to_pylist())}
+    assert by_doc == {"1": "spark v1", "2": "spark renamed"}
+    assert m["total"] == 2
